@@ -41,31 +41,45 @@ double BayesianNetwork::JointProbability(
   return p;
 }
 
-std::vector<data::ValueCode> BayesianNetwork::SampleTuple(Rng& rng) const {
-  std::vector<data::ValueCode> tuple(num_nodes(), data::kNullCode);
-  for (size_t v : topo_order_) {
-    const Cpt& cpt = cpts_[v];
-    data::TupleKey parent_codes(cpt.parents().size());
-    for (size_t i = 0; i < cpt.parents().size(); ++i) {
-      parent_codes[i] = tuple[cpt.parents()[i]];
-      THEMIS_DCHECK(parent_codes[i] != data::kNullCode);
-    }
-    tuple[v] = cpt.Sample(cpt.ConfigIndex(parent_codes), rng);
-  }
-  return tuple;
-}
-
 data::Table BayesianNetwork::SampleTable(size_t num_rows,
                                          double population_size,
                                          Rng& rng) const {
+  std::vector<std::vector<double>> cumulative;
+  cumulative.reserve(cpts_.size());
+  for (const Cpt& cpt : cpts_) cumulative.push_back(cpt.CumulativeRows());
+
   data::Table table(schema_);
-  const double w =
-      num_rows == 0 ? 0.0 : population_size / static_cast<double>(num_rows);
+  table.Reserve(num_rows);
+  std::vector<data::ValueCode> tuple(num_nodes(), data::kNullCode);
   for (size_t r = 0; r < num_rows; ++r) {
-    table.AppendRow(SampleTuple(rng));
-    table.set_weight(r, w);
+    for (size_t v : topo_order_) {
+      const Cpt& cpt = cpts_[v];
+      size_t config = 0;
+      for (size_t i = 0; i < cpt.parents().size(); ++i) {
+        config = config * cpt.parent_sizes()[i] +
+                 static_cast<size_t>(tuple[cpt.parents()[i]]);
+      }
+      tuple[v] = cpt.SampleCumulative(cumulative[v], config,
+                                      rng.UniformDouble());
+    }
+    table.AppendRow(tuple);
   }
+  table.FillWeights(num_rows == 0 ? 0.0
+                                  : population_size /
+                                        static_cast<double>(num_rows));
   return table;
+}
+
+std::vector<data::Table> BayesianNetwork::SampleTables(
+    size_t count, size_t num_rows, double population_size, uint64_t seed,
+    util::ThreadPool& pool) const {
+  std::vector<data::Table> tables(count, data::Table(schema_));
+  pool.ParallelFor(0, count, [&](size_t k) {
+    Rng rng(seed);
+    rng.engine().discard(k * num_rows * num_nodes());
+    tables[k] = SampleTable(num_rows, population_size, rng);
+  });
+  return tables;
 }
 
 size_t BayesianNetwork::NumFreeParameters() const {

@@ -8,6 +8,7 @@
 #include "data/table.h"
 #include "util/random.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace themis::bn {
 
@@ -33,15 +34,23 @@ class BayesianNetwork {
   /// the product of the factor probabilities.
   double JointProbability(const std::vector<data::ValueCode>& full) const;
 
-  /// Draws one full tuple by forward (logic) sampling in topological order.
-  std::vector<data::ValueCode> SampleTuple(Rng& rng) const;
-
-  /// Generates `num_rows` forward samples as a table sharing the schema,
-  /// each row weighted `population_size / num_rows` so the table is a
-  /// uniformly-scaled representative sample of the modeled population
-  /// (Sec 4.2.4).
+  /// Generates `num_rows` forward (logic) samples, drawn in topological
+  /// order, as a table sharing the schema. Each row is weighted
+  /// `population_size / num_rows`, so the table is a uniformly-scaled
+  /// representative sample of the modeled population (Sec 4.2.4). Every
+  /// row draws exactly one rng.UniformDouble() per node, so a call
+  /// advances `rng` by num_rows * num_nodes() draws.
   data::Table SampleTable(size_t num_rows, double population_size,
                           Rng& rng) const;
+
+  /// `count` SampleTable calls fanned out over `pool`. Table k starts from
+  /// Rng(seed) advanced past the k * num_rows * num_nodes() draws the
+  /// tables before it consume, so the result equals `count` sequential
+  /// SampleTable calls on one Rng(seed), bitwise, at any pool size.
+  std::vector<data::Table> SampleTables(size_t count, size_t num_rows,
+                                        double population_size,
+                                        uint64_t seed,
+                                        util::ThreadPool& pool) const;
 
   /// Total number of free parameters across all CPTs.
   size_t NumFreeParameters() const;

@@ -1,5 +1,6 @@
 #include "bn/cpt.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.h"
@@ -80,14 +81,24 @@ bool Cpt::RowsAreSimplexes(double tol) const {
   return true;
 }
 
-data::ValueCode Cpt::Sample(size_t config, Rng& rng) const {
-  const double r = rng.UniformDouble();
-  double acc = 0;
-  for (size_t j = 0; j < child_size_; ++j) {
-    acc += probs_[config * child_size_ + j];
-    if (r < acc) return static_cast<data::ValueCode>(j);
+std::vector<double> Cpt::CumulativeRows() const {
+  std::vector<double> cumulative(probs_.size());
+  for (size_t cfg = 0; cfg < num_configs_; ++cfg) {
+    double acc = 0;
+    for (size_t j = 0; j < child_size_; ++j) {
+      acc += probs_[cfg * child_size_ + j];
+      cumulative[cfg * child_size_ + j] = acc;
+    }
   }
-  return static_cast<data::ValueCode>(child_size_ - 1);
+  return cumulative;
+}
+
+data::ValueCode Cpt::SampleCumulative(const std::vector<double>& cumulative,
+                                      size_t config, double r) const {
+  const auto row = cumulative.begin() + config * child_size_;
+  const auto it = std::upper_bound(row, row + child_size_, r);
+  const size_t j = std::min<size_t>(it - row, child_size_ - 1);
+  return static_cast<data::ValueCode>(j);
 }
 
 }  // namespace themis::bn

@@ -5,7 +5,6 @@
 
 #include "data/schema.h"
 #include "data/tuple_key.h"
-#include "util/random.h"
 #include "util/status.h"
 
 namespace themis::bn {
@@ -60,8 +59,18 @@ class Cpt {
   /// Verifies every row is a simplex within `tol`.
   bool RowsAreSimplexes(double tol = 1e-6) const;
 
-  /// Draws a child value given a parent configuration.
-  data::ValueCode Sample(size_t config, Rng& rng) const;
+  /// Running sums of every row, laid out like flat(): entry j of a row is
+  /// p_0 + ... + p_j, accumulated left to right. Rows must be non-negative
+  /// so the sums never decrease.
+  std::vector<double> CumulativeRows() const;
+
+  /// The child value forward sampling draws for a uniform `r` in [0, 1)
+  /// from row `config` of `cumulative` (a CumulativeRows() result): the
+  /// first value whose running sum exceeds `r`, so a zero-probability
+  /// value is never drawn, or the last value when the row sums to at most
+  /// `r`.
+  data::ValueCode SampleCumulative(const std::vector<double>& cumulative,
+                                   size_t config, double r) const;
 
  private:
   size_t child_ = 0;

@@ -137,7 +137,8 @@ Status Catalog::Build(const std::string& name) {
         std::max<size_t>(1, effective.result_memo_bytes / n);
   }
   auto model = ThemisModel::Build(relation.pending_sample->Clone(),
-                                  *relation.pending_aggregates, effective);
+                                  *relation.pending_aggregates, effective,
+                                  pool_);
   if (!model.ok()) return model.status();
   relation.model = std::make_unique<ThemisModel>(std::move(model).value());
   relation.evaluator = std::make_unique<HybridEvaluator>(

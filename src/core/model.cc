@@ -1,6 +1,8 @@
 #include "core/model.h"
 
 #include <algorithm>
+#include <future>
+#include <memory>
 
 #include "aggregate/pruning.h"
 #include "reweight/ipf.h"
@@ -23,12 +25,42 @@ const char* ReweightMethodName(ReweightMethod method) {
   return "?";
 }
 
+namespace {
+
+/// Reweights `sample` in place with the configured method.
+Status Reweight(const ThemisOptions& options,
+                const aggregate::AggregateSet& aggregates,
+                double population_size, data::Table& sample,
+                BuildStats& stats) {
+  switch (options.reweight) {
+    case ReweightMethod::kUniform:
+      return reweight::UniformReweighter().Reweight(sample, aggregates,
+                                                    population_size);
+    case ReweightMethod::kLinReg:
+      return reweight::LinRegReweighter(options.nnls)
+          .Reweight(sample, aggregates, population_size);
+    case ReweightMethod::kIpf: {
+      reweight::IpfReweighter rw(options.ipf);
+      THEMIS_RETURN_IF_ERROR(
+          rw.Reweight(sample, aggregates, population_size));
+      stats.reweight_converged = rw.stats().converged;
+      stats.reweight_iterations = rw.stats().iterations;
+      return Status::OK();
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<ThemisModel> ThemisModel::Build(data::Table sample,
                                        aggregate::AggregateSet aggregates,
-                                       const ThemisOptions& options) {
+                                       const ThemisOptions& options,
+                                       util::ThreadPool* pool) {
   if (sample.num_rows() == 0) {
     return Status::InvalidArgument("ThemisModel: empty sample");
   }
+  Timer total_timer;
   ThemisModel model(std::move(sample), std::move(aggregates), options);
 
   // Population size: explicit, else the largest aggregate total, else nS
@@ -47,6 +79,7 @@ Result<ThemisModel> ThemisModel::Build(data::Table sample,
   // Aggregate pruning (Sec 5.1): keep all 1D aggregates; apply the t-cherry
   // budget to the multi-dimensional candidates.
   if (options.aggregate_budget > 0) {
+    Timer prune_timer;
     std::vector<aggregate::AggregateSpec> multi;
     aggregate::AggregateSet pruned(model.aggregates_.schema());
     for (const auto& spec : model.aggregates_.specs()) {
@@ -61,62 +94,62 @@ Result<ThemisModel> ThemisModel::Build(data::Table sample,
       pruned.Add(multi[idx]);
     }
     model.aggregates_ = std::move(pruned);
+    model.build_stats_.prune_seconds = prune_timer.Seconds();
   }
   model.build_stats_.aggregates_used = model.aggregates_.size();
 
-  // Sample reweighting.
-  Timer timer;
-  switch (options.reweight) {
-    case ReweightMethod::kUniform: {
-      reweight::UniformReweighter rw;
-      THEMIS_RETURN_IF_ERROR(rw.Reweight(model.sample_, model.aggregates_,
-                                         model.population_size_));
-      break;
-    }
-    case ReweightMethod::kLinReg: {
-      reweight::LinRegReweighter rw(options.nnls);
-      THEMIS_RETURN_IF_ERROR(rw.Reweight(model.sample_, model.aggregates_,
-                                         model.population_size_));
-      break;
-    }
-    case ReweightMethod::kIpf: {
-      reweight::IpfReweighter rw(options.ipf);
-      THEMIS_RETURN_IF_ERROR(rw.Reweight(model.sample_, model.aggregates_,
-                                         model.population_size_));
-      model.build_stats_.reweight_converged = rw.stats().converged;
-      model.build_stats_.reweight_iterations = rw.stats().iterations;
-      break;
-    }
-  }
-  model.build_stats_.reweight_seconds = timer.Seconds();
-
   // Probabilistic model learning + GROUP BY sample generation. The BN is
   // learned from the *raw* sample (unit weights): Eq. 2 maximizes the
-  // likelihood of S itself, not of the reweighted sample.
+  // likelihood of S itself, not of the reweighted sample. Nothing in it
+  // waits for reweighting, so it runs as one pool task while this thread
+  // reweights. The task writes only the BN members and stats, which this
+  // thread leaves alone until the join below.
+  std::unique_ptr<util::ThreadPool> owned_pool;
+  std::future<Status> bn_done;
   if (options.enable_bn) {
+    pool = util::ResolvePool(pool, options.num_threads, owned_pool);
     data::Table raw_sample = model.sample_.Clone();
     raw_sample.FillWeights(1.0);
-    bn::BnLearnStats bn_stats;
-    auto network = bn::LearnBayesNet(model.sample_.schema(), &raw_sample,
-                                     &model.aggregates_, options.bn,
-                                     &bn_stats);
-    if (!network.ok()) return network.status();
-    model.network_ =
-        std::make_shared<bn::BayesianNetwork>(std::move(network).value());
-    model.build_stats_.bn_structure_seconds = bn_stats.structure_seconds;
-    model.build_stats_.bn_parameter_seconds = bn_stats.parameter_seconds;
-
-    timer.Restart();
     const size_t rows = options.bn_sample_rows > 0 ? options.bn_sample_rows
                                                    : model.sample_.num_rows();
-    Rng rng(options.seed);
-    model.bn_samples_.reserve(options.bn_group_by_samples);
-    for (size_t k = 0; k < options.bn_group_by_samples; ++k) {
-      model.bn_samples_.push_back(
-          model.network_->SampleTable(rows, model.population_size_, rng));
-    }
-    model.build_stats_.generate_seconds = timer.Seconds();
+    bn_done = pool->Submit([&model, &options, pool, rows,
+                            raw = std::move(raw_sample)] {
+      bn::BnLearnStats bn_stats;
+      auto network = bn::LearnBayesNet(raw.schema(), &raw,
+                                       &model.aggregates_, options.bn,
+                                       &bn_stats);
+      if (!network.ok()) return network.status();
+      model.network_ =
+          std::make_shared<bn::BayesianNetwork>(std::move(network).value());
+      model.build_stats_.bn_structure_seconds = bn_stats.structure_seconds;
+      model.build_stats_.bn_parameter_seconds = bn_stats.parameter_seconds;
+
+      Timer generate_timer;
+      model.bn_samples_ = model.network_->SampleTables(
+          options.bn_group_by_samples, rows, model.population_size_,
+          options.seed, *pool);
+      model.build_stats_.generate_seconds = generate_timer.Seconds();
+      return Status::OK();
+    });
   }
+
+  // The BN task refers to this frame, so it is joined before every exit,
+  // an exception from the reweighter included.
+  Timer reweight_timer;
+  Status reweighted;
+  try {
+    reweighted = Reweight(options, model.aggregates_, model.population_size_,
+                          model.sample_, model.build_stats_);
+  } catch (...) {
+    if (bn_done.valid()) pool->GetHelping(bn_done);
+    throw;
+  }
+  model.build_stats_.reweight_seconds = reweight_timer.Seconds();
+  const Status learned = bn_done.valid() ? pool->GetHelping(bn_done)
+                                         : Status::OK();
+  THEMIS_RETURN_IF_ERROR(reweighted);
+  THEMIS_RETURN_IF_ERROR(learned);
+  model.build_stats_.total_seconds = total_timer.Seconds();
   return model;
 }
 

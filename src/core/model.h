@@ -9,16 +9,21 @@
 #include "core/options.h"
 #include "data/table.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace themis::core {
 
 /// Timing/diagnostic record of a model build, used by the Table 8 / Fig 16
-/// benchmarks.
+/// benchmarks. Stage seconds are wall-clock spans. Reweighting runs on the
+/// building thread while BN learning and sampling run on the pool, so those
+/// spans overlap and the stage seconds can sum to more than total_seconds.
 struct BuildStats {
+  double prune_seconds = 0;
   double reweight_seconds = 0;
   double bn_structure_seconds = 0;
   double bn_parameter_seconds = 0;
   double generate_seconds = 0;
+  double total_seconds = 0;
   bool reweight_converged = true;
   int reweight_iterations = 0;
   size_t aggregates_used = 0;
@@ -30,11 +35,15 @@ struct BuildStats {
 class ThemisModel {
  public:
   /// Runs the full build pipeline: infer |P| → prune Γ to the budget →
-  /// reweight S → learn the BN → pre-generate the K BN sample tables used
-  /// for GROUP BY answering.
+  /// reweight S, and alongside it learn the BN → pre-generate the K BN
+  /// sample tables used for GROUP BY answering. The BN work runs on `pool`
+  /// (resolved like util::ResolvePool with options.num_threads) while the
+  /// calling thread reweights; the result is bitwise identical at any pool
+  /// size.
   static Result<ThemisModel> Build(data::Table sample,
                                    aggregate::AggregateSet aggregates,
-                                   const ThemisOptions& options = {});
+                                   const ThemisOptions& options = {},
+                                   util::ThreadPool* pool = nullptr);
 
   const ThemisOptions& options() const { return options_; }
   double population_size() const { return population_size_; }

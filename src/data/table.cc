@@ -18,6 +18,11 @@ void Table::AppendRow(const std::vector<ValueCode>& codes) {
   ++num_rows_;
 }
 
+void Table::Reserve(size_t rows) {
+  for (std::vector<ValueCode>& column : columns_) column.reserve(rows);
+  weights_.reserve(rows);
+}
+
 void Table::AppendRowLabels(const std::vector<std::string>& labels) {
   THEMIS_CHECK(labels.size() == columns_.size());
   std::vector<ValueCode> codes(labels.size());

@@ -26,6 +26,9 @@ class Table {
   /// Appends a row of value codes (one per attribute) with weight 1.
   void AppendRow(const std::vector<ValueCode>& codes);
 
+  /// Reserves room for `rows` rows in every column and the weights.
+  void Reserve(size_t rows);
+
   /// Appends a row given display labels, interning them into the domains.
   void AppendRowLabels(const std::vector<std::string>& labels);
 

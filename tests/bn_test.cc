@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "bn/bayes_net.h"
 #include "bn/child_network.h"
 #include "bn/cpt.h"
 #include "bn/dag.h"
 #include "bn/inference.h"
+#include "util/thread_pool.h"
 
 namespace themis::bn {
 namespace {
@@ -110,12 +113,66 @@ TEST(CptTest, SampleRespectsDistribution) {
   Cpt cpt(0, 2, {}, {});
   cpt.SetProb(0, 0, 0.9);
   cpt.SetProb(0, 1, 0.1);
+  const std::vector<double> cumulative = cpt.CumulativeRows();
   Rng rng(3);
   int zeros = 0;
   for (int i = 0; i < 5000; ++i) {
-    if (cpt.Sample(0, rng) == 0) ++zeros;
+    if (cpt.SampleCumulative(cumulative, 0, rng.UniformDouble()) == 0) {
+      ++zeros;
+    }
   }
   EXPECT_NEAR(zeros / 5000.0, 0.9, 0.02);
+}
+
+/// The linear-scan draw forward sampling has always made: the first value
+/// whose running sum exceeds r, else the last value.
+data::ValueCode LinearScanSample(const Cpt& cpt, size_t config, double r) {
+  double acc = 0;
+  for (size_t j = 0; j < cpt.child_size(); ++j) {
+    acc += cpt.Prob(config, static_cast<data::ValueCode>(j));
+    if (r < acc) return static_cast<data::ValueCode>(j);
+  }
+  return static_cast<data::ValueCode>(cpt.child_size() - 1);
+}
+
+TEST(CptTest, CumulativeSamplerMatchesLinearScan) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t child_size = static_cast<size_t>(rng.UniformInt(1, 9));
+    const size_t parent_size = static_cast<size_t>(rng.UniformInt(1, 4));
+    Cpt cpt(0, child_size, {1}, {parent_size});
+    for (size_t cfg = 0; cfg < cpt.num_configs(); ++cfg) {
+      for (size_t j = 0; j < child_size; ++j) {
+        // A third of the values get probability zero.
+        const double p = rng.Bernoulli(1.0 / 3) ? 0.0 : rng.UniformDouble();
+        cpt.SetProb(cfg, static_cast<data::ValueCode>(j), p);
+      }
+    }
+    cpt.NormalizeRows();
+    // Odd trials lose mass, so their rows sum to less than one and large
+    // draws fall through to the last value.
+    if (trial % 2 == 1) {
+      for (double& p : cpt.mutable_flat()) p *= 0.8;
+    }
+    const std::vector<double> cumulative = cpt.CumulativeRows();
+    for (size_t cfg = 0; cfg < cpt.num_configs(); ++cfg) {
+      std::vector<double> draws = {0.0, 0.79999, 0.8, 0.99999,
+                                   std::nextafter(1.0, 0.0)};
+      for (int i = 0; i < 50; ++i) draws.push_back(rng.UniformDouble());
+      // Exact running sums are the boundaries where the two could differ.
+      for (size_t j = 0; j < child_size; ++j) {
+        draws.push_back(cumulative[cfg * child_size + j]);
+      }
+      for (double r : draws) {
+        const data::ValueCode got = cpt.SampleCumulative(cumulative, cfg, r);
+        ASSERT_EQ(got, LinearScanSample(cpt, cfg, r))
+            << "trial " << trial << " config " << cfg << " r " << r;
+        if (child_size > 1 && got + 1 < static_cast<int>(child_size)) {
+          EXPECT_GT(cpt.Prob(cfg, got), 0.0) << "drew a zero-mass value";
+        }
+      }
+    }
+  }
 }
 
 /// A tiny 3-node chain network A -> B -> C over binary domains with known
@@ -170,10 +227,10 @@ TEST(BayesNetTest, ForwardSamplingMatchesMarginals) {
   Rng rng(17);
   int a1 = 0, b1 = 0;
   const int trials = 20000;
+  data::Table table = network.SampleTable(trials, trials, rng);
   for (int i = 0; i < trials; ++i) {
-    auto tuple = network.SampleTuple(rng);
-    a1 += tuple[0];
-    b1 += tuple[1];
+    a1 += table.Get(i, 0);
+    b1 += table.Get(i, 1);
   }
   EXPECT_NEAR(a1 / static_cast<double>(trials), 0.3, 0.02);
   // Pr(B=1) = 0.7*0.2 + 0.3*0.8 = 0.38.
@@ -187,6 +244,104 @@ TEST(BayesNetTest, SampleTableWeightsScaleToPopulation) {
   EXPECT_EQ(table.num_rows(), 100u);
   EXPECT_NEAR(table.TotalWeight(), 5000.0, 1e-9);
   EXPECT_DOUBLE_EQ(table.weight(0), 50.0);
+}
+
+/// A 5-node network with random CPTs (some zero entries) over mixed
+/// domain sizes, drawn in a topological order that differs from the
+/// attribute order: 3 -> 0 -> {1, 2}, {0, 3} -> 4.
+BayesianNetwork RandomNetwork(uint64_t seed) {
+  auto schema = std::make_shared<data::Schema>();
+  const std::vector<size_t> sizes = {3, 2, 5, 4, 3};
+  for (size_t a = 0; a < sizes.size(); ++a) {
+    std::vector<std::string> labels;
+    for (size_t v = 0; v < sizes[a]; ++v) labels.push_back(std::to_string(v));
+    schema->AddAttribute("x" + std::to_string(a), labels);
+  }
+  Dag dag(sizes.size());
+  THEMIS_CHECK_OK(dag.AddEdge(3, 0));
+  THEMIS_CHECK_OK(dag.AddEdge(0, 1));
+  THEMIS_CHECK_OK(dag.AddEdge(0, 2));
+  THEMIS_CHECK_OK(dag.AddEdge(0, 4));
+  THEMIS_CHECK_OK(dag.AddEdge(3, 4));
+  BayesianNetwork network(schema, dag);
+  Rng rng(seed);
+  for (size_t v = 0; v < network.num_nodes(); ++v) {
+    for (double& p : network.mutable_cpt(v).mutable_flat()) {
+      p = rng.Bernoulli(0.2) ? 0.0 : rng.UniformDouble();
+    }
+    network.mutable_cpt(v).NormalizeRows();
+  }
+  return network;
+}
+
+/// Forward sampling as it was first written: one tuple at a time in
+/// topological order, each value drawn by LinearScanSample.
+data::Table ReferenceSampleTable(const BayesianNetwork& network,
+                                 size_t num_rows, double population_size,
+                                 Rng& rng) {
+  data::Table table(network.schema());
+  const std::vector<size_t> order = network.dag().TopologicalOrder();
+  for (size_t r = 0; r < num_rows; ++r) {
+    std::vector<data::ValueCode> tuple(network.num_nodes(), data::kNullCode);
+    for (size_t v : order) {
+      const Cpt& cpt = network.cpt(v);
+      data::TupleKey parent_codes(cpt.parents().size());
+      for (size_t i = 0; i < cpt.parents().size(); ++i) {
+        parent_codes[i] = tuple[cpt.parents()[i]];
+      }
+      tuple[v] = LinearScanSample(cpt, cpt.ConfigIndex(parent_codes),
+                                  rng.UniformDouble());
+    }
+    table.AppendRow(tuple);
+    table.set_weight(r, population_size / static_cast<double>(num_rows));
+  }
+  return table;
+}
+
+void ExpectSameTable(const data::Table& a, const data::Table& b) {
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  ASSERT_EQ(a.num_attributes(), b.num_attributes());
+  for (size_t attr = 0; attr < a.num_attributes(); ++attr) {
+    EXPECT_EQ(a.column(attr), b.column(attr)) << "column " << attr;
+  }
+  EXPECT_EQ(a.weights(), b.weights());
+}
+
+TEST(BayesNetTest, SampleTableMatchesPerTupleLinearScan) {
+  const BayesianNetwork network = RandomNetwork(31);
+  Rng rng(8), reference_rng(8);
+  for (int round = 0; round < 3; ++round) {
+    ExpectSameTable(network.SampleTable(2000, 1e5, rng),
+                    ReferenceSampleTable(network, 2000, 1e5, reference_rng));
+  }
+  // Both consumed the same number of draws.
+  EXPECT_EQ(rng.engine()(), reference_rng.engine()());
+}
+
+TEST(BayesNetTest, SampleTablesEqualSequentialCallsAtAnyPoolSize) {
+  const BayesianNetwork network = RandomNetwork(47);
+  constexpr size_t kTables = 7;
+  constexpr size_t kRows = 1500;
+  constexpr uint64_t kSeed = 42;
+  Rng rng(kSeed);
+  std::vector<data::Table> sequential;
+  for (size_t k = 0; k < kTables; ++k) {
+    sequential.push_back(network.SampleTable(kRows, 3e4, rng));
+  }
+  for (size_t threads :
+       {size_t{1}, size_t{2}, util::DefaultParallelism()}) {
+    util::ThreadPool pool(threads);
+    const std::vector<data::Table> fanned =
+        network.SampleTables(kTables, kRows, 3e4, kSeed, pool);
+    ASSERT_EQ(fanned.size(), kTables);
+    for (size_t k = 0; k < kTables; ++k) {
+      SCOPED_TRACE("pool " + std::to_string(threads) + " table " +
+                   std::to_string(k));
+      ExpectSameTable(fanned[k], sequential[k]);
+    }
+  }
+  util::ThreadPool pool(2);
+  EXPECT_TRUE(network.SampleTables(0, kRows, 3e4, kSeed, pool).empty());
 }
 
 TEST(InferenceTest, FullEvidenceEqualsJoint) {

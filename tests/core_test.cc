@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "core/evaluator.h"
 #include "core/model.h"
 #include "core/themis_db.h"
+#include "util/thread_pool.h"
+#include "workload/flights.h"
+#include "workload/sampler.h"
 
 namespace themis::core {
 namespace {
@@ -250,6 +258,124 @@ TEST_F(Example31Test, NonPointSqlStillUsesGroupByPath) {
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->rows.size(), 1u);
   EXPECT_GT(result->rows[0].values[0], 0.0);
+}
+
+/// A biased flights sample with more multi-dimensional aggregates than the
+/// pruning budget keeps, so every build stage does real work.
+class ParallelBuildTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    population_ = std::make_unique<data::Table>(
+        workload::GenerateFlights({20000, 71}));
+    auto sample =
+        workload::MakeFlightsSample(*population_, "SCorners", 0.1, 72);
+    ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+    sample_ = std::make_unique<data::Table>(std::move(sample).value());
+    aggregates_ = aggregate::AggregateSet(population_->schema());
+    using workload::FlightsAttrs;
+    for (auto attrs : std::vector<std::vector<size_t>>{
+             {FlightsAttrs::kOrigin},
+             {FlightsAttrs::kDate},
+             {FlightsAttrs::kOrigin, FlightsAttrs::kDest},
+             {FlightsAttrs::kDest, FlightsAttrs::kDate},
+             {FlightsAttrs::kOrigin, FlightsAttrs::kDate}}) {
+      aggregates_.Add(aggregate::ComputeAggregate(*population_, attrs));
+    }
+  }
+
+  ThemisOptions Options() const {
+    ThemisOptions options;
+    options.aggregate_budget = 2;
+    options.bn_group_by_samples = 6;
+    return options;
+  }
+
+  static std::vector<size_t> PoolSizes() {
+    return {1, 2, std::max(1u, std::thread::hardware_concurrency())};
+  }
+
+  std::unique_ptr<data::Table> population_;
+  std::unique_ptr<data::Table> sample_;
+  aggregate::AggregateSet aggregates_;
+};
+
+void ExpectSameTable(const data::Table& a, const data::Table& b) {
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  for (size_t attr = 0; attr < a.num_attributes(); ++attr) {
+    EXPECT_EQ(a.column(attr), b.column(attr)) << "column " << attr;
+  }
+  EXPECT_EQ(a.weights(), b.weights());
+}
+
+TEST_F(ParallelBuildTest, BitwiseIdenticalAtEveryPoolSize) {
+  const ThemisOptions options = Options();
+  std::vector<ThemisModel> models;
+  for (size_t threads : PoolSizes()) {
+    util::ThreadPool pool(threads);
+    auto model =
+        ThemisModel::Build(sample_->Clone(), aggregates_, options, &pool);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    models.push_back(std::move(model).value());
+  }
+  const ThemisModel& first = models.front();
+  ASSERT_NE(first.network(), nullptr);
+  ASSERT_EQ(first.bn_samples().size(), options.bn_group_by_samples);
+  EXPECT_EQ(first.build_stats().aggregates_used, 4u);  // 2 1D + budget 2
+
+  // The K tables are the ones K sequential SampleTable calls draw from one
+  // Rng(seed), the order the build used before the fan-out.
+  Rng rng(options.seed);
+  for (size_t k = 0; k < first.bn_samples().size(); ++k) {
+    SCOPED_TRACE("sequential table " + std::to_string(k));
+    ExpectSameTable(first.bn_samples()[k],
+                    first.network()->SampleTable(
+                        sample_->num_rows(), first.population_size(), rng));
+  }
+
+  for (size_t m = 1; m < models.size(); ++m) {
+    SCOPED_TRACE("pool " + std::to_string(PoolSizes()[m]));
+    const ThemisModel& model = models[m];
+    EXPECT_EQ(model.reweighted_sample().weights(),
+              first.reweighted_sample().weights());
+    ASSERT_NE(model.network(), nullptr);
+    ASSERT_EQ(model.network()->num_nodes(), first.network()->num_nodes());
+    for (size_t v = 0; v < first.network()->num_nodes(); ++v) {
+      EXPECT_EQ(model.network()->cpt(v).parents(),
+                first.network()->cpt(v).parents());
+      EXPECT_EQ(model.network()->cpt(v).flat(),
+                first.network()->cpt(v).flat());
+    }
+    ASSERT_EQ(model.bn_samples().size(), first.bn_samples().size());
+    for (size_t k = 0; k < first.bn_samples().size(); ++k) {
+      ExpectSameTable(model.bn_samples()[k], first.bn_samples()[k]);
+    }
+    const BuildStats& a = model.build_stats();
+    const BuildStats& b = first.build_stats();
+    EXPECT_EQ(a.aggregates_used, b.aggregates_used);
+    EXPECT_EQ(a.reweight_iterations, b.reweight_iterations);
+    EXPECT_EQ(a.reweight_converged, b.reweight_converged);
+    EXPECT_GT(a.total_seconds, 0.0);
+    EXPECT_LE(a.prune_seconds, a.total_seconds);
+    EXPECT_LE(a.reweight_seconds, a.total_seconds);
+    EXPECT_LE(a.generate_seconds, a.total_seconds);
+  }
+}
+
+TEST_F(ParallelBuildTest, OverlappedStageErrorIsReturned) {
+  // AB learns structure from Γ alone; with no aggregates BN learning fails
+  // while the reweighting beside it succeeds.
+  ThemisOptions options = Options();
+  options.bn.variant = bn::BnVariant::kAB;
+  const aggregate::AggregateSet none(population_->schema());
+  for (size_t threads : PoolSizes()) {
+    util::ThreadPool pool(threads);
+    auto model = ThemisModel::Build(sample_->Clone(), none, options, &pool);
+    ASSERT_FALSE(model.ok()) << "pool " << threads;
+    EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(model.status().message().find("no usable structure source"),
+              std::string::npos)
+        << model.status().ToString();
+  }
 }
 
 TEST(ReweightMethodNameTest, AllNamed) {

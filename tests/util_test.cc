@@ -147,6 +147,30 @@ TEST(RngTest, Deterministic) {
   }
 }
 
+// The BN sample fan-out starts table k from Rng(seed) advanced past the
+// draws of tables 0..k-1; that is exact only while every UniformDouble()
+// consumes exactly one engine output.
+TEST(RngTest, UniformDoubleConsumesOneEngineOutput) {
+  for (int n : {0, 1, 7, 1000}) {
+    Rng drawn(99), skipped(99);
+    for (int i = 0; i < n; ++i) drawn.UniformDouble();
+    skipped.engine().discard(static_cast<unsigned long long>(n));
+    EXPECT_EQ(drawn.engine()(), skipped.engine()()) << "n = " << n;
+  }
+}
+
+TEST(RngTest, DiscardContinuesTheStream) {
+  constexpr int kSkip = 12345;
+  Rng sequential(7);
+  for (int i = 0; i < kSkip; ++i) sequential.UniformDouble();
+  Rng offset(7);
+  offset.engine().discard(kSkip);
+  for (int i = 0; i < 100; ++i) {
+    const double expected = sequential.UniformDouble();
+    EXPECT_EQ(offset.UniformDouble(), expected) << "draw " << i;
+  }
+}
+
 TEST(RngTest, UniformIntInRange) {
   Rng rng(1);
   for (int i = 0; i < 1000; ++i) {
