@@ -379,7 +379,7 @@ Result<std::vector<sql::QueryResult>> Catalog::QueryBatch(
     plans.push_back(std::move(plan));
   }
   // Whole plans are pool tasks, interleaved across relations; each GROUP
-  // BY plan's K-executor fan-out nests on the same pool.
+  // BY plan's K-world fan-out nests on the same pool.
   std::vector<Result<sql::QueryResult>> results(
       plans.size(), Result<sql::QueryResult>(Status::Internal("not run")));
   pool_->ParallelFor(0, plans.size(), [&](size_t i) {

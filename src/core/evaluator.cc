@@ -1,7 +1,7 @@
 #include "core/evaluator.h"
 
-#include <algorithm>
-#include <set>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include "util/logging.h"
@@ -31,12 +31,20 @@ HybridEvaluator::HybridEvaluator(const ThemisModel* model,
       relation_(std::move(relation)) {
   THEMIS_CHECK(model_ != nullptr);
   if (relation_.empty()) relation_ = table_name_;
-  sample_executor_.RegisterTable(table_name_, &model_->reweighted_sample());
-  bn_executors_.reserve(model_->bn_samples().size());
+  const data::Table& sample = model_->reweighted_sample();
+  indexes_.reserve(1 + model_->bn_samples().size());
+  indexes_.emplace_back(&sample);
+  sample_executor_.RegisterTable(table_name_, &sample, &indexes_[0]);
+  std::vector<sql::TableSource> worlds;
   for (const data::Table& bn_sample : model_->bn_samples()) {
-    sql::Executor exec;
-    exec.RegisterTable(table_name_, &bn_sample);
-    bn_executors_.push_back(std::move(exec));
+    // The hybrid union compares sample and BN groups by code, which
+    // needs the shared schema ThemisModel::Build gives every BN sample.
+    THEMIS_CHECK(bn_sample.schema() == sample.schema());
+    indexes_.emplace_back(&bn_sample);
+    worlds.push_back({&bn_sample, &indexes_.back()});
+  }
+  if (!worlds.empty()) {
+    bn_executor_.RegisterWorlds(table_name_, std::move(worlds));
   }
   const ThemisOptions& options = model_->options();
   if (model_->network() != nullptr) {
@@ -47,9 +55,8 @@ HybridEvaluator::HybridEvaluator(const ThemisModel* model,
     engine_ = std::make_unique<bn::InferenceEngine>(model_->network(),
                                                     engine_options);
   }
-  const bool has_bn = model_->network() != nullptr && !bn_executors_.empty();
   planner_ = std::make_unique<QueryPlanner>(
-      model_->reweighted_sample().schema(), has_bn,
+      model_->reweighted_sample().schema(), has_bn(),
       options.plan_cache_capacity, relation_);
   pool_ = util::ResolvePool(pool, options.num_threads, owned_pool_);
   // The environment override resolves once here so the shard layout
@@ -67,32 +74,37 @@ HybridEvaluator::HybridEvaluator(const ThemisModel* model,
                                   : options.result_memo_capacity);
 }
 
-const std::unordered_map<data::TupleKey, double, data::TupleKeyHash>&
-HybridEvaluator::GroupIndex(const std::vector<size_t>& attrs) const {
-  {
-    std::shared_lock<std::shared_mutex> lock(group_index_mu_);
-    auto it = group_index_cache_.find(attrs);
-    if (it != group_index_cache_.end()) return it->second;
+HybridEvaluator::SampleProbe HybridEvaluator::ProbeSample(
+    const std::vector<size_t>& attrs, const data::TupleKey& values) const {
+  SampleProbe probe;
+  if (attrs.empty() || attrs.size() != values.size()) return probe;
+  // Walk the shortest of the key's posting lists and check the other
+  // attributes row by row. Rows come in ascending order and the mass
+  // starts at 0.0 — the summation Table::GroupWeights performs.
+  const data::PostingIndex& index = indexes_[0];
+  size_t shortest = 0;
+  data::PostingList list = index.List(attrs[0], values[0]);
+  for (size_t i = 1; i < attrs.size() && list.size() > 0; ++i) {
+    const data::PostingList other = index.List(attrs[i], values[i]);
+    if (other.size() < list.size()) {
+      list = other;
+      shortest = i;
+    }
   }
-  // Build outside any lock, then publish; a losing racer reuses the
-  // winner's index (std::map nodes stay put, so the reference outlives
-  // the lock).
-  auto weights = model_->reweighted_sample().GroupWeights(attrs);
-  std::unique_lock<std::shared_mutex> lock(group_index_mu_);
-  return group_index_cache_.try_emplace(attrs, std::move(weights))
-      .first->second;
+  const data::Table& sample = index.table();
+  list.ForEachRow([&](uint32_t row) {
+    for (size_t i = 0; i < attrs.size(); ++i) {
+      if (i != shortest && sample.Get(row, attrs[i]) != values[i]) return;
+    }
+    probe.present = true;
+    probe.mass += sample.weight(row);
+  });
+  return probe;
 }
 
 bool HybridEvaluator::SampleContains(const std::vector<size_t>& attrs,
                                      const data::TupleKey& values) const {
-  return GroupIndex(attrs).count(values) > 0;
-}
-
-double HybridEvaluator::SampleMass(const std::vector<size_t>& attrs,
-                                   const data::TupleKey& values) const {
-  const auto& index = GroupIndex(attrs);
-  auto it = index.find(values);
-  return it == index.end() ? 0.0 : it->second;
+  return ProbeSample(attrs, values).present;
 }
 
 Result<double> HybridEvaluator::BnPointEstimate(
@@ -116,66 +128,47 @@ Result<double> HybridEvaluator::PointEstimate(
   }
   switch (mode) {
     case AnswerMode::kSampleOnly:
-      return SampleMass(attrs, values);
+      return ProbeSample(attrs, values).mass;
     case AnswerMode::kBnOnly:
       return BnPointEstimate(attrs, values);
-    case AnswerMode::kHybrid:
+    case AnswerMode::kHybrid: {
       // Sec 4.3: sample answer when the tuple is present, BN otherwise.
-      if (SampleContains(attrs, values) || model_->network() == nullptr) {
-        return SampleMass(attrs, values);
-      }
+      const SampleProbe probe = ProbeSample(attrs, values);
+      if (probe.present || model_->network() == nullptr) return probe.mass;
       return BnPointEstimate(attrs, values);
+    }
   }
   return Status::Internal("unreachable");
 }
 
-Result<sql::QueryResult> HybridEvaluator::BnGroupBy(
+Result<sql::CodedResult> HybridEvaluator::BnGroupBy(
     const sql::SelectStatement& stmt, const util::CancelToken* cancel,
     obs::TraceContext* trace) const {
-  if (bn_executors_.empty()) {
+  if (model_->bn_samples().empty()) {
     return Status::FailedPrecondition("model has no BN samples");
   }
-  // Execute on every generated sample; keep groups appearing in all K
-  // answers and average the aggregate values (Sec 4.2.4). The K executors
-  // are nested pool tasks; each may further shard its scan on the same
-  // pool without oversubscribing. The cancel token is shared: each
-  // executor polls it on entry and per shard, so a fired token fails the
-  // whole fan-out at the lowest index that observed it.
-  const size_t k_total = bn_executors_.size();
-  std::vector<Result<sql::QueryResult>> results(
-      k_total, Result<sql::QueryResult>(Status::Internal("not executed")));
-  pool_->ParallelFor(0, k_total, [&](size_t k) {
-    results[k] =
-        bn_executors_[k].Execute(stmt, pool_, shard_rows_, cancel, trace);
-  });
-
-  std::map<std::vector<std::string>, std::pair<std::vector<double>, size_t>>
-      merged;
-  sql::QueryResult shape;
-  for (size_t k = 0; k < k_total; ++k) {
-    if (!results[k].ok()) return results[k].status();
-    const sql::QueryResult& result = *results[k];
-    if (k == 0) {
-      shape.group_names = result.group_names;
-      shape.value_names = result.value_names;
+  // Execute on every generated sample at once; keep groups appearing in
+  // all K answers and average the aggregate values (Sec 4.2.4). Each
+  // group's sum runs from 0.0 over the samples in index order before the
+  // division by K, so the answer is pool-size independent.
+  THEMIS_ASSIGN_OR_RETURN(
+      sql::CodedResult worlds,
+      bn_executor_.ExecuteCoded(stmt, pool_, shard_rows_, cancel, trace));
+  const size_t k_total = worlds.num_worlds;
+  sql::CodedResult out = worlds.EmptyLike(1);
+  std::vector<double> mean(worlds.value_names.size());
+  for (size_t g = 0; g < worlds.num_groups(); ++g) {
+    bool in_all = true;
+    for (size_t k = 0; k < k_total && in_all; ++k) {
+      in_all = worlds.present_in(g, k);
     }
-    for (const sql::ResultRow& row : result.rows) {
-      auto [it, inserted] = merged.try_emplace(
-          row.group, std::vector<double>(row.values.size(), 0.0), 0u);
-      for (size_t i = 0; i < row.values.size(); ++i) {
-        it->second.first[i] += row.values[i];
-      }
-      it->second.second += 1;
+    if (!in_all) continue;  // phantom-group suppression
+    for (size_t i = 0; i < mean.size(); ++i) {
+      double sum = 0.0;
+      for (size_t k = 0; k < k_total; ++k) sum += worlds.world_values(g, k)[i];
+      mean[i] = sum / static_cast<double>(k_total);
     }
-  }
-  sql::QueryResult out = shape;
-  for (auto& [group, acc] : merged) {
-    if (acc.second != k_total) continue;  // phantom-group suppression
-    sql::ResultRow row;
-    row.group = group;
-    row.values = acc.first;
-    for (double& v : row.values) v /= static_cast<double>(k_total);
-    out.rows.push_back(std::move(row));
+    out.AddGroup(worlds.key(g), mean);
   }
   return out;
 }
@@ -184,13 +177,21 @@ Result<QueryPlanPtr> HybridEvaluator::Plan(const std::string& sql) const {
   return planner_->Plan(sql);
 }
 
+namespace {
+
+/// A group key's codes as bytes, for hashing.
+std::string_view KeyBytes(std::span<const data::ValueCode> key) {
+  return {reinterpret_cast<const char*>(key.data()),
+          key.size() * sizeof(data::ValueCode)};
+}
+
+}  // namespace
+
 Result<sql::QueryResult> HybridEvaluator::ExecutePlanUncached(
     const QueryPlan& plan, AnswerMode mode, const util::CancelToken* cancel,
     obs::TraceContext* trace) const {
-  const bool has_bn =
-      model_->network() != nullptr && !bn_executors_.empty();
   if (plan.kind == PlanKind::kPassthrough || mode == AnswerMode::kSampleOnly ||
-      !has_bn) {
+      !has_bn()) {
     return sample_executor_.Execute(plan.stmt, pool_, shard_rows_, cancel,
                                     trace);
   }
@@ -211,39 +212,41 @@ Result<sql::QueryResult> HybridEvaluator::ExecutePlanUncached(
   }
 
   if (mode == AnswerMode::kBnOnly) {
-    return BnGroupBy(plan.stmt, cancel, trace);
+    THEMIS_ASSIGN_OR_RETURN(sql::CodedResult bn,
+                            BnGroupBy(plan.stmt, cancel, trace));
+    return bn.Decode();
   }
 
   // Hybrid: sample answer unioned with BN-only groups (Sec 4.3).
-  THEMIS_ASSIGN_OR_RETURN(sql::QueryResult sample_result,
-                          sample_executor_.Execute(plan.stmt, pool_,
-                                                   shard_rows_, cancel,
-                                                   trace));
-  auto bn_result = BnGroupBy(plan.stmt, cancel, trace);
-  if (!bn_result.ok()) {
+  THEMIS_ASSIGN_OR_RETURN(sql::CodedResult sample,
+                          sample_executor_.ExecuteCoded(plan.stmt, pool_,
+                                                        shard_rows_, cancel,
+                                                        trace));
+  auto bn = BnGroupBy(plan.stmt, cancel, trace);
+  if (!bn.ok()) {
     // A BN failure normally degrades to the sample answer — but a fired
     // cancel token must surface, not be swallowed as a degraded answer.
-    if (bn_result.status().code() == StatusCode::kCancelled ||
-        bn_result.status().code() == StatusCode::kDeadlineExceeded) {
-      return bn_result.status();
+    if (bn.status().code() == StatusCode::kCancelled ||
+        bn.status().code() == StatusCode::kDeadlineExceeded) {
+      return bn.status();
     }
-    return sample_result;
+    return sample.Decode();
   }
-
-  std::set<std::vector<std::string>> sample_groups;
-  for (const sql::ResultRow& row : sample_result.rows) {
-    sample_groups.insert(row.group);
+  // Both sides share the sample's domains, so equal codes are equal
+  // groups.
+  std::unordered_set<std::string_view> sample_keys;
+  sample_keys.reserve(sample.num_groups());
+  for (size_t g = 0; g < sample.num_groups(); ++g) {
+    sample_keys.insert(KeyBytes(sample.key(g)));
   }
-  for (const sql::ResultRow& row : bn_result->rows) {
-    if (sample_groups.count(row.group) == 0) {
-      sample_result.rows.push_back(row);
-    }
+  std::vector<size_t> bn_only;
+  for (size_t g = 0; g < bn->num_groups(); ++g) {
+    if (sample_keys.count(KeyBytes(bn->key(g))) == 0) bn_only.push_back(g);
   }
-  std::sort(sample_result.rows.begin(), sample_result.rows.end(),
-            [](const sql::ResultRow& a, const sql::ResultRow& b) {
-              return a.group < b.group;
-            });
-  return sample_result;
+  for (const size_t g : bn_only) {
+    sample.AddGroup(bn->key(g), bn->world_values(g, 0));
+  }
+  return sample.Decode();
 }
 
 Result<sql::QueryResult> HybridEvaluator::ExecutePlan(
@@ -260,9 +263,9 @@ Result<sql::QueryResult> HybridEvaluator::ExecutePlan(
   // kSampleOnly / a BN-less model. Point plans answered through the
   // Sec 4.3 point rule bypass it: the inference memo already serves them
   // at the cost of one cache probe.
-  const bool has_bn = model_->network() != nullptr && !bn_executors_.empty();
   const bool point_via_inference = plan.kind == PlanKind::kPoint &&
-                                   has_bn && mode != AnswerMode::kSampleOnly;
+                                   has_bn() &&
+                                   mode != AnswerMode::kSampleOnly;
   const bool memoizable = result_memo_enabled_ && !point_via_inference &&
                           !plan.fingerprint.empty();
   std::string key;
@@ -331,9 +334,7 @@ Result<sql::QueryResult> HybridEvaluator::ExecutePlan(
 
 sql::ExecutorStats HybridEvaluator::executor_stats() const {
   sql::ExecutorStats total = sample_executor_.stats();
-  for (const sql::Executor& executor : bn_executors_) {
-    total += executor.stats();
-  }
+  total += bn_executor_.stats();
   return total;
 }
 
@@ -396,7 +397,7 @@ Result<std::vector<sql::QueryResult>> HybridEvaluator::QueryBatch(
     }
   }
   // Whole plans are pool tasks: distinct queries run concurrently, and
-  // each GROUP BY plan's K-executor fan-out nests on the same pool.
+  // each GROUP BY plan's K-world fan-out nests on the same pool.
   std::vector<Result<sql::QueryResult>> results(
       plans.size(), Result<sql::QueryResult>(Status::Internal("not run")));
   pool_->ParallelFor(0, plans.size(), [&](size_t i) {

@@ -3,18 +3,16 @@
 
 #include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bn/inference_engine.h"
 #include "core/model.h"
 #include "core/query_plan.h"
+#include "data/posting_index.h"
 #include "obs/trace.h"
 #include "sql/ast.h"
 #include "sql/executor.h"
@@ -75,27 +73,37 @@ size_t ApproxResultBytes(const sql::QueryResult& result);
 ///
 /// Point queries: if the queried tuple exists in the (reweighted) sample,
 /// answer from the sample; otherwise use direct BN inference,
-/// n · Pr(X₁=x₁, ..., X_d=x_d).
+/// n · Pr(X₁=x₁, ..., X_d=x_d). The sample side is one probe of the
+/// sample's code posting index: the shortest of the queried codes' lists,
+/// checked against the other attributes, its weights summed in ascending
+/// row order.
 ///
 /// GROUP BY queries: the reweighted-sample answer, unioned with groups
 /// that appear in the BN answer but not the sample answer. The BN answer
-/// comes from the K pre-generated uniformly-scaled samples: only groups
-/// present in all K runs survive (phantom-group suppression) and their
-/// values are averaged.
+/// comes from the K pre-generated uniformly-scaled samples, answered in
+/// one fused executor call over the K samples registered as worlds of one
+/// relation: only groups present in all K worlds survive (phantom-group
+/// suppression) and their values are averaged. Both rules and the union
+/// run on group codes; labels are decoded and sorted once, at the end.
+///
+/// The evaluator owns one data::PostingIndex per model table (the sample
+/// and each BN sample); an attribute's lists are built on the first query
+/// that needs them, never at model build.
 ///
 /// All parallelism runs on one util::ThreadPool (the shared execution
-/// runtime): QueryBatch fans whole plans across the pool, each GROUP BY
-/// plan fans its K BN-sample executors as nested pool tasks, and large
-/// scans shard by row range inside the executor — one pool, no
-/// oversubscription, and results bitwise identical to a sequential
-/// Query() loop at any pool size (the fan-outs merge deterministically).
+/// runtime): QueryBatch fans whole plans across the pool, the fused BN
+/// call runs its K worlds as nested pool tasks (inline when their
+/// selections are small), and large scans shard by row range inside the
+/// executor — one pool, no oversubscription, and results bitwise
+/// identical to a sequential Query() loop at any pool size (every
+/// fan-out merges deterministically).
 /// GROUP BY / passthrough answers are additionally memoized per
 /// (plan fingerprint, mode); the memo dies with the evaluator, so a
 /// Build() rebuild invalidates it.
 ///
-/// Thread-safe for concurrent const use; the lazily built group index is
-/// guarded by a shared_mutex and the engine, planner, and result memo
-/// carry their own locks.
+/// Thread-safe for concurrent const use; the posting indexes publish
+/// their lazy builds through once-flags and the engine, planner, and
+/// result memo carry their own locks.
 class HybridEvaluator {
  public:
   /// `model` must outlive the evaluator. `table_name` is the name the
@@ -120,7 +128,8 @@ class HybridEvaluator {
                                const data::TupleKey& values,
                                AnswerMode mode = AnswerMode::kHybrid) const;
 
-  /// True if some sample tuple matches `values` on `attrs`.
+  /// True if some sample tuple matches `values` on `attrs` (non-empty,
+  /// one value per attribute).
   bool SampleContains(const std::vector<size_t>& attrs,
                       const data::TupleKey& values) const;
 
@@ -138,8 +147,8 @@ class HybridEvaluator {
   /// Plans `sql` through the shared plan cache.
   Result<QueryPlanPtr> Plan(const std::string& sql) const;
 
-  /// Executes a previously planned query on the shared pool (K BN-sample
-  /// executors and large scans fan out; a 1-thread pool degenerates to
+  /// Executes a previously planned query on the shared pool (the K BN
+  /// worlds and large scans fan out; a 1-thread pool degenerates to
   /// the identical sequential execution). Serves memoized GROUP BY /
   /// passthrough results when the plan carries a fingerprint.
   ///
@@ -178,9 +187,9 @@ class HybridEvaluator {
 
   ResultMemoStats result_memo_stats() const;
 
-  /// Aggregated scan-path counters over the sample executor and the K
-  /// BN-sample executors — rows scanned/passed, groups emitted, join
-  /// build/probe rows (see sql::ExecutorStats).
+  /// Aggregated scan-path counters over the sample executor and the
+  /// K-world BN-sample executor — rows scanned/passed, groups emitted,
+  /// join build/probe rows (see sql::ExecutorStats).
   sql::ExecutorStats executor_stats() const;
 
   /// Drops every memoized query result (the memo also dies naturally with
@@ -219,18 +228,23 @@ class HybridEvaluator {
                        size_t result_memo_bytes);
 
  private:
-  /// Σ weight over sample rows matching the key (0 when absent).
-  double SampleMass(const std::vector<size_t>& attrs,
-                    const data::TupleKey& values) const;
+  /// Whether some sample row matches a point key, and the Σ weight of the
+  /// matching rows (0 when absent).
+  struct SampleProbe {
+    bool present = false;
+    double mass = 0.0;
+  };
+  SampleProbe ProbeSample(const std::vector<size_t>& attrs,
+                          const data::TupleKey& values) const;
 
   /// n · Pr(values on attrs) by exact (memoized) BN inference.
   Result<double> BnPointEstimate(const std::vector<size_t>& attrs,
                                  const data::TupleKey& values) const;
 
-  /// Runs `stmt` over the K BN samples as nested pool tasks, keeping
-  /// groups present in all K and averaging their values. The merge walks
-  /// executors in index order, so the answer is pool-size independent.
-  Result<sql::QueryResult> BnGroupBy(const sql::SelectStatement& stmt,
+  /// Runs `stmt` over the K BN samples in one fused executor call,
+  /// keeping groups present in all K and averaging their values in
+  /// sample order. A one-world result, still on codes.
+  Result<sql::CodedResult> BnGroupBy(const sql::SelectStatement& stmt,
                                      const util::CancelToken* cancel,
                                      obs::TraceContext* trace) const;
 
@@ -239,15 +253,18 @@ class HybridEvaluator {
       const QueryPlan& plan, AnswerMode mode,
       const util::CancelToken* cancel, obs::TraceContext* trace) const;
 
-  /// Group-weight index per attribute set, built lazily under the lock.
-  const std::unordered_map<data::TupleKey, double, data::TupleKeyHash>&
-  GroupIndex(const std::vector<size_t>& attrs) const;
+  bool has_bn() const {
+    return model_->network() != nullptr && !model_->bn_samples().empty();
+  }
 
   const ThemisModel* model_;
   std::string table_name_;
   std::string relation_;
+  /// Code posting indexes: [0] over the reweighted sample, [1 + k] over
+  /// BN sample k. Sized once at construction (the executors point here).
+  std::vector<data::PostingIndex> indexes_;
   sql::Executor sample_executor_;
-  std::vector<sql::Executor> bn_executors_;  // one per BN sample
+  sql::Executor bn_executor_;  // the K BN samples, as K worlds
   std::unique_ptr<bn::InferenceEngine> engine_;
   std::unique_ptr<QueryPlanner> planner_;
   std::unique_ptr<util::ThreadPool> owned_pool_;  // when num_threads is set
@@ -266,11 +283,6 @@ class HybridEvaluator {
       result_memo_;
   mutable size_t memo_hits_ = 0;
   mutable size_t memo_misses_ = 0;
-  mutable std::shared_mutex group_index_mu_;
-  mutable std::map<std::vector<size_t>,
-                   std::unordered_map<data::TupleKey, double,
-                                      data::TupleKeyHash>>
-      group_index_cache_;
 };
 
 }  // namespace themis::core

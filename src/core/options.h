@@ -78,7 +78,7 @@ struct ThemisOptions {
   size_t result_memo_bytes = 0;
 
   /// Worker threads of the execution runtime (cross-query batch fan-out,
-  /// per-plan K BN-sample executors, sharded scans — one shared pool).
+  /// per-plan K BN-sample worlds, sharded scans — one shared pool).
   /// 0 = util::DefaultParallelism() (THEMIS_NUM_THREADS env override,
   /// else hardware concurrency).
   size_t num_threads = 0;

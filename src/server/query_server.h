@@ -37,7 +37,7 @@ HostStats HostStatsNow();
 /// submits each admitted request as a whole plan task via
 /// util::ThreadPool::Submit on the catalog's shared pool — so distinct
 /// clients' queries execute concurrently (and nest freely with the
-/// per-plan K-executor and sharded-scan fan-outs — one pool, no
+/// per-plan K-world and sharded-scan fan-outs — one pool, no
 /// oversubscription) while thousands of idle connections cost no threads
 /// at all. Completed responses are posted back to the owning I/O thread
 /// through an eventfd wakeup and flushed from a per-session FIFO with

@@ -7,12 +7,14 @@
 #include <limits>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "simd/simd.h"
 #include "sql/parser.h"
 #include "util/cpu_topology.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace themis::sql {
@@ -25,9 +27,12 @@ struct BoundColumn {
   size_t attr = 0;
 };
 
+/// A FROM-list entry: world 0's table (binding and the reference path
+/// use it) and the table of every world at this position.
 struct BoundTable {
   const data::Table* table = nullptr;
   std::string alias;
+  std::vector<TableSource> worlds;
 };
 
 /// A non-join predicate compiled to a per-domain-code match mask, so row
@@ -35,6 +40,11 @@ struct BoundTable {
 struct Filter {
   BoundColumn column;
   std::vector<char> code_matches;  // indexed by value code
+  /// `=` and one-literal IN: the one code that passes, or kNullCode when
+  /// the literal is outside the domain — a code index can then select
+  /// the filter's rows directly. False for every other predicate.
+  bool is_point = false;
+  data::ValueCode point_code = data::kNullCode;
 };
 
 struct AggItem {
@@ -68,10 +78,18 @@ constexpr size_t kDefaultShardRows = 8192;
 /// working-set target (AutoShardTargetBytes).
 constexpr size_t kMinAutoShardRows = 1024;
 constexpr size_t kMaxAutoShardRows = 262144;
+/// Worlds run as pool tasks only when their selections together start
+/// from at least this many rows: below it, waking pool workers costs more
+/// than the scans (on a 4-vCPU host, 10 BN samples of 40k-75k rows: a
+/// fan-out over fewer than ~10k posting rows ran at 2-3x the sequential
+/// time, above it the fan-out won in nearly every query). Either way
+/// each world runs into its own group table, so the answer is the same.
+constexpr size_t kMinFanOutRows = 10000;
 
 Result<BoundQuery> Bind(
     const SelectStatement& stmt,
-    const std::unordered_map<std::string, const data::Table*>& catalog) {
+    const std::unordered_map<std::string, std::vector<TableSource>>&
+        catalog) {
   BoundQuery q;
   // --- Bind tables. ---
   if (stmt.tables.empty() || stmt.tables.size() > 2) {
@@ -82,7 +100,12 @@ Result<BoundQuery> Bind(
     if (it == catalog.end()) {
       return Status::NotFound("no relation '" + ref.name + "' registered");
     }
-    q.tables.push_back({it->second, ref.alias});
+    if (!q.tables.empty() &&
+        it->second.size() != q.tables.front().worlds.size()) {
+      return Status::InvalidArgument(
+          "relations in one query must have the same number of worlds");
+    }
+    q.tables.push_back({it->second.front().table, ref.alias, it->second});
   }
 
   // --- Bind columns. ---
@@ -140,6 +163,11 @@ Result<BoundQuery> Bind(
         }
         if (pred.op == CompareOp::kNe) {
           for (char& c : m) c = !c;
+        }
+        if (pred.op != CompareOp::kNe && pred.literals.size() == 1) {
+          filter.is_point = true;
+          auto code = domain.Code(pred.literals[0].text);
+          filter.point_code = code.ok() ? *code : data::kNullCode;
         }
         break;
       }
@@ -500,11 +528,17 @@ class PackedGroupTable {
 
   /// The group's accumulator block, zero-initialized on first touch.
   double* Slot(uint64_t key) {
+    const size_t g = Group(key);  // may grow acc_: read data() after
+    return acc_.data() + g * stride_;
+  }
+
+  /// The group's index (first-touch order), adding it when absent.
+  size_t Group(uint64_t key) {
     size_t i = MixKey(key) & mask_;
     while (true) {
       const uint32_t g = slot_groups_[i];
       if (g == kEmpty) break;
-      if (slot_keys_[i] == key) return acc_.data() + g * stride_;
+      if (slot_keys_[i] == key) return g;
       i = (i + 1) & mask_;
     }
     if ((keys_.size() + 1) * 10 > slot_keys_.size() * 7) {
@@ -517,7 +551,7 @@ class PackedGroupTable {
     slot_groups_[i] = g;
     keys_.push_back(key);
     acc_.resize(acc_.size() + stride_, 0.0);
-    return acc_.data() + g * stride_;
+    return g;
   }
 
   size_t num_groups() const { return keys_.size(); }
@@ -564,13 +598,18 @@ class WideGroupTable {
   explicit WideGroupTable(size_t stride) : stride_(stride) {}
 
   double* Slot(const data::TupleKey& key) {
+    const size_t g = Group(key);  // may grow acc_: read data() after
+    return acc_.data() + g * stride_;
+  }
+
+  size_t Group(const data::TupleKey& key) {
     auto [it, inserted] =
         index_.try_emplace(key, static_cast<uint32_t>(keys_.size()));
     if (inserted) {
       keys_.push_back(key);
       acc_.resize(acc_.size() + stride_, 0.0);
     }
-    return acc_.data() + it->second * stride_;
+    return it->second;
   }
 
   size_t num_groups() const { return keys_.size(); }
@@ -598,18 +637,36 @@ class WideGroupTable {
 /// original unpadded Filter::code_matches untouched.
 struct VecFilter {
   const data::ValueCode* col = nullptr;
-  std::vector<uint8_t> match;
+  const uint8_t* match = nullptr;  // CompiledQuery::matches, shared by worlds
   uint32_t domain_size = 0;
 };
 
-/// Per-query vectorized context: the kernel table, raw column pointers,
-/// per-table compiled filters, the group-key codec, and the flat
+/// The world-independent part of a vectorized execution, compiled once
+/// per query and shared by every world: padded match tables, the group
+/// and join key codecs, join-domain code translations, and the flat
 /// accumulator layout [count, sum_0, total_0, ...].
+struct CompiledQuery {
+  const BoundQuery* q = nullptr;
+  const simd::Kernels* kernels = nullptr;
+  size_t stride = 1;
+  std::vector<std::vector<uint8_t>> matches;  // per q->filters entry
+  data::PackedKeyCodec gcodec;
+  std::vector<const data::Domain*> gdomains;
+  size_t group_reserve = 1;
+  data::PackedKeyCodec jcodec;
+  std::vector<std::vector<data::ValueCode>> translations;  // per join pair
+};
+
+/// One world's vectorized context: the compiled query bound to that
+/// world's raw column pointers, per-table filters, and posting lists.
 struct VecContext {
   const simd::Kernels* kernels = nullptr;
   size_t stride = 1;
-  bool group_packed = true;
   std::vector<VecFilter> filters[2];  // indexed by table position
+  /// Per table position: the shortest posting list among the point
+  /// filters on an indexed table. `filters` then holds only the others.
+  bool has_posting[2] = {false, false};
+  data::PostingList posting[2];
   data::PackedKeyCodec gcodec;
   std::vector<const data::ValueCode*> gcols;
   std::vector<uint8_t> gtables;
@@ -665,9 +722,67 @@ struct VecContext {
   }
 };
 
+/// Binds `cq` to world `world`'s tables. Picks, per table position, the
+/// shortest posting list among the point filters when the world's table
+/// there has an index (building that attribute's lists on first use).
+VecContext MakeContext(const CompiledQuery& cq, size_t world) {
+  const BoundQuery& q = *cq.q;
+  auto table = [&](size_t t) -> const data::Table& {
+    return *q.tables[t].worlds[world].table;
+  };
+  VecContext ctx;
+  ctx.kernels = cq.kernels;
+  ctx.stride = cq.stride;
+  ctx.gcodec = cq.gcodec;
+  ctx.gdomains = cq.gdomains;
+  constexpr size_t kNone = std::numeric_limits<size_t>::max();
+  size_t chosen[2] = {kNone, kNone};
+  for (size_t t = 0; t < q.tables.size(); ++t) {
+    const data::PostingIndex* index = q.tables[t].worlds[world].index;
+    if (index == nullptr) continue;
+    for (size_t i = 0; i < q.filters.size(); ++i) {
+      const Filter& f = q.filters[i];
+      if (f.column.table != t || !f.is_point) continue;
+      const data::PostingList list = index->List(f.column.attr, f.point_code);
+      if (chosen[t] == kNone || list.size() < ctx.posting[t].size()) {
+        chosen[t] = i;
+        ctx.posting[t] = list;
+      }
+    }
+    ctx.has_posting[t] = chosen[t] != kNone;
+  }
+  for (size_t i = 0; i < q.filters.size(); ++i) {
+    const Filter& f = q.filters[i];
+    if (i == chosen[f.column.table]) continue;
+    VecFilter vf;
+    vf.col = table(f.column.table).column(f.column.attr).data();
+    vf.match = cq.matches[i].data();
+    vf.domain_size = static_cast<uint32_t>(f.code_matches.size());
+    ctx.filters[f.column.table].push_back(vf);
+  }
+  ctx.aggs.resize(q.agg_items.size());
+  for (size_t i = 0; i < q.agg_items.size(); ++i) {
+    VecContext::AggCol& a = ctx.aggs[i];
+    a.is_count = q.agg_items[i].func == AggFunc::kCount;
+    if (!a.is_count) {
+      const BoundColumn& bc = q.agg_items[i].column;
+      a.col = table(bc.table).column(bc.attr).data();
+      a.numeric = q.numeric_cache[i].data();
+      a.domain_size = static_cast<uint32_t>(q.numeric_cache[i].size());
+      a.table = static_cast<uint8_t>(bc.table);
+    }
+  }
+  for (const BoundColumn& gc : q.group_columns) {
+    ctx.gcols.push_back(table(gc.table).column(gc.attr).data());
+    ctx.gtables.push_back(static_cast<uint8_t>(gc.table));
+  }
+  return ctx;
+}
+
 /// Adapters giving the scan/join kernels one Slot(rows) shape for both
 /// group-key representations.
 struct PackedGroups {
+  using Table = PackedGroupTable;
   const VecContext* ctx;
   PackedGroupTable table;
   PackedGroups(const VecContext& c, size_t reserve)
@@ -680,15 +795,16 @@ struct PackedGroups {
   void MergeFrom(const PackedGroups& o) { table.MergeFrom(o.table); }
   size_t num_groups() const { return table.num_groups(); }
   const double* acc(size_t g) const { return table.acc(g); }
-  void Labels(size_t g, std::vector<std::string>& out) const {
+  void AppendCodes(size_t g, std::vector<data::ValueCode>& out) const {
     const uint64_t key = table.key(g);
     for (size_t j = 0; j < ctx->gdomains.size(); ++j) {
-      out.push_back(ctx->gdomains[j]->Label(ctx->gcodec.Component(key, j)));
+      out.push_back(ctx->gcodec.Component(key, j));
     }
   }
 };
 
 struct WideGroups {
+  using Table = WideGroupTable;
   const VecContext* ctx;
   WideGroupTable table;
   data::TupleKey buf;
@@ -701,40 +817,50 @@ struct WideGroups {
   void MergeFrom(const WideGroups& o) { table.MergeFrom(o.table); }
   size_t num_groups() const { return table.num_groups(); }
   const double* acc(size_t g) const { return table.acc(g); }
-  void Labels(size_t g, std::vector<std::string>& out) const {
+  void AppendCodes(size_t g, std::vector<data::ValueCode>& out) const {
     const data::TupleKey& key = table.key(g);
-    for (size_t j = 0; j < ctx->gdomains.size(); ++j) {
-      out.push_back(ctx->gdomains[j]->Label(key[j]));
-    }
+    out.insert(out.end(), key.begin(), key.end());
   }
 };
 
-/// Evaluates every filter on table `t` over rows [lo, hi) into `sel`
-/// (ascending row ids): the first filter scans its code column with the
-/// FilterScan kernel, each further filter compacts the survivors in
-/// place with FilterCompact — one column pass per filter instead of a
-/// filter-list walk per row. `filter_rows` counts rows evaluated, once
-/// per filter applied.
+/// Selects the rows of table `t` in [lo, hi) that pass every filter on
+/// it, into `sel` (ascending row ids). With a posting list the selection
+/// starts as that list cut to [lo, hi); otherwise the first filter scans
+/// its code column with the FilterScan kernel. Each further filter then
+/// compacts the survivors in place with FilterCompact — one pass per
+/// filter instead of a filter-list walk per row. Counts the rows it
+/// starts from as scanned, and the rows each kernel evaluates.
 void BuildSelection(const VecContext& ctx, size_t t, size_t lo, size_t hi,
-                    std::vector<uint32_t>& sel, uint64_t& filter_rows) {
+                    std::vector<uint32_t>& sel, ExecutorStats& stats) {
   const std::vector<VecFilter>& filters = ctx.filters[t];
-  if (filters.empty()) {  // no filters on this table: all rows pass
+  size_t n = 0;
+  size_t next = 0;
+  if (ctx.has_posting[t]) {
+    const data::PostingList& list = ctx.posting[t];
+    sel.resize(std::min(list.size(), hi - lo));
+    n = list.RowsIn(static_cast<uint32_t>(lo), static_cast<uint32_t>(hi),
+                    sel.data());
+    stats.rows_scanned += n;
+  } else if (filters.empty()) {  // no filters on this table: all rows pass
     sel.resize(hi - lo);
     std::iota(sel.begin(), sel.end(), static_cast<uint32_t>(lo));
+    stats.rows_scanned += hi - lo;
     return;
+  } else {
+    sel.resize(hi - lo);  // FilterScan needs full range capacity
+    const VecFilter& f0 = filters[0];
+    n = ctx.kernels->FilterScan(f0.col, static_cast<uint32_t>(lo),
+                                static_cast<uint32_t>(hi), f0.match,
+                                f0.domain_size, sel.data());
+    stats.rows_scanned += hi - lo;
+    stats.filter_kernel_rows += hi - lo;
+    next = 1;
   }
-  sel.resize(hi - lo);  // FilterScan needs full range capacity
-  const VecFilter& f0 = filters[0];
-  size_t n = ctx.kernels->FilterScan(f0.col, static_cast<uint32_t>(lo),
-                                     static_cast<uint32_t>(hi),
-                                     f0.match.data(), f0.domain_size,
-                                     sel.data());
-  filter_rows += hi - lo;
-  for (size_t i = 1; i < filters.size(); ++i) {
+  for (size_t i = next; i < filters.size(); ++i) {
     const VecFilter& f = filters[i];
-    filter_rows += n;
-    n = ctx.kernels->FilterCompact(f.col, f.match.data(), f.domain_size,
-                                   sel.data(), n);
+    stats.filter_kernel_rows += n;
+    n = ctx.kernels->FilterCompact(f.col, f.match, f.domain_size, sel.data(),
+                                   n);
   }
   sel.resize(n);
 }
@@ -841,14 +967,12 @@ struct CancelScope {
 /// group table and merges them in shard-index order, reproducing the
 /// reference's summation tree.
 template <typename GroupsT>
-void ScanSingleTable(const VecContext& ctx, const BoundQuery& q,
+void ScanSingleTable(const VecContext& ctx, const data::Table& t0,
                      util::ThreadPool* pool, size_t kShardRows,
                      size_t group_reserve, GroupsT& out,
                      ExecutorStats& stats, CancelScope& cancel) {
-  const data::Table& t0 = *q.tables[0].table;
   const size_t num_rows = t0.num_rows();
   const double* weights = t0.weights().data();
-  stats.rows_scanned += num_rows;
   if (pool != nullptr && num_rows >= 2 * kShardRows) {
     const size_t num_shards = (num_rows + kShardRows - 1) / kShardRows;
     const size_t shard_reserve = std::min(group_reserve, kShardRows);
@@ -866,7 +990,7 @@ void ScanSingleTable(const VecContext& ctx, const BoundQuery& q,
       VecScratch scratch;
       ExecutorStats& local = shard_stats[s];
       local.shards_executed += 1;
-      BuildSelection(ctx, 0, lo, hi, sel, local.filter_kernel_rows);
+      BuildSelection(ctx, 0, lo, hi, sel, local);
       local.rows_passed += sel.size();
       local.gather_kernel_rows += AccumulateRows(
           ctx, shard_groups[s], sel.data(), sel.size(), weights, scratch);
@@ -876,12 +1000,11 @@ void ScanSingleTable(const VecContext& ctx, const BoundQuery& q,
   } else {
     std::vector<uint32_t> sel;
     VecScratch scratch;
-    sel.reserve(std::min(num_rows, kShardRows));
     for (size_t lo = 0; lo < num_rows; lo += kShardRows) {
       if (!cancel.Admit()) return;
       const size_t hi = std::min(num_rows, lo + kShardRows);
       stats.shards_executed += 1;
-      BuildSelection(ctx, 0, lo, hi, sel, stats.filter_kernel_rows);
+      BuildSelection(ctx, 0, lo, hi, sel, stats);
       stats.rows_passed += sel.size();
       stats.gather_kernel_rows +=
           AccumulateRows(ctx, out, sel.data(), sel.size(), weights, scratch);
@@ -893,16 +1016,35 @@ void ScanSingleTable(const VecContext& ctx, const BoundQuery& q,
 /// selection batch; -1 marks a probe label with no build-side code.
 using ProbeCodes = std::vector<std::vector<data::ValueCode>>;
 
+/// Gathers the probe codes of the selected rows, translating each column
+/// into the build side's code space where the domains differ (an empty
+/// translation means the same Domain object: codes already agree).
+void GatherProbeCodes(const simd::Kernels& k,
+                      const std::vector<const data::ValueCode*>& probe_cols,
+                      const std::vector<std::vector<data::ValueCode>>&
+                          translations,
+                      const uint32_t* sel, size_t n, ProbeCodes& codes) {
+  codes.resize(probe_cols.size());
+  for (size_t j = 0; j < probe_cols.size(); ++j) {
+    codes[j].resize(n);
+    k.GatherCodes(probe_cols[j], sel, n, codes[j].data());
+    if (!translations[j].empty()) {
+      k.TranslateCodes(codes[j].data(), translations[j].data(), n,
+                       codes[j].data());
+    }
+  }
+}
+
 /// Code-native join-key maker backed by a packed uint64. `translations`
-/// bridge probe codes into the build side's code space when the two
-/// domains differ (empty vector = same Domain object, codes agree).
+/// (CompiledQuery::translations) bridge probe codes into the build side's
+/// code space when the two domains differ.
 struct PackedJoinKey {
   using Key = uint64_t;
   using Map = std::unordered_map<uint64_t, std::vector<uint32_t>>;
-  data::PackedKeyCodec codec;
+  const data::PackedKeyCodec* codec;
   std::vector<const data::ValueCode*> build_cols;
   std::vector<const data::ValueCode*> probe_cols;
-  std::vector<std::vector<data::ValueCode>> translations;
+  const std::vector<std::vector<data::ValueCode>>* translations;
 
   /// Batched build insert: GatherPack the selected rows' keys (one kernel
   /// pass per join column), then append each row to its key's list in
@@ -912,25 +1054,16 @@ struct PackedJoinKey {
                          Map& map) const {
     keybuf.resize(n);
     for (size_t j = 0; j < build_cols.size(); ++j) {
-      k.GatherPack(build_cols[j], sel, n, codec.shift(j), keybuf.data(),
+      k.GatherPack(build_cols[j], sel, n, codec->shift(j), keybuf.data(),
                    j == 0);
     }
     for (size_t i = 0; i < n; ++i) map[keybuf[i]].push_back(sel[i]);
     return n;
   }
 
-  /// Batched probe-code gather + per-domain translation into `codes`.
   void GatherProbe(const simd::Kernels& k, const uint32_t* sel, size_t n,
                    ProbeCodes& codes) const {
-    codes.resize(probe_cols.size());
-    for (size_t j = 0; j < probe_cols.size(); ++j) {
-      codes[j].resize(n);
-      k.GatherCodes(probe_cols[j], sel, n, codes[j].data());
-      if (!translations[j].empty()) {
-        k.TranslateCodes(codes[j].data(), translations[j].data(), n,
-                         codes[j].data());
-      }
-    }
+    GatherProbeCodes(k, probe_cols, *translations, sel, n, codes);
   }
 
   /// Assembles row i's probe key from the gathered codes; false when a
@@ -941,7 +1074,7 @@ struct PackedJoinKey {
       const data::ValueCode c = codes[j][i];
       if (c < 0) return false;
       key |= static_cast<uint64_t>(static_cast<uint32_t>(c))
-             << codec.shift(j);
+             << codec->shift(j);
     }
     return true;
   }
@@ -957,7 +1090,7 @@ struct WideJoinKey {
                          data::TupleKeyHash>;
   std::vector<const data::ValueCode*> build_cols;
   std::vector<const data::ValueCode*> probe_cols;
-  std::vector<std::vector<data::ValueCode>> translations;
+  const std::vector<std::vector<data::ValueCode>>* translations;
 
   size_t InsertBuildRows(const simd::Kernels& /*k*/, const uint32_t* sel,
                          size_t n, std::vector<uint64_t>& /*keybuf*/,
@@ -975,15 +1108,7 @@ struct WideJoinKey {
 
   void GatherProbe(const simd::Kernels& k, const uint32_t* sel, size_t n,
                    ProbeCodes& codes) const {
-    codes.resize(probe_cols.size());
-    for (size_t j = 0; j < probe_cols.size(); ++j) {
-      codes[j].resize(n);
-      k.GatherCodes(probe_cols[j], sel, n, codes[j].data());
-      if (!translations[j].empty()) {
-        k.TranslateCodes(codes[j].data(), translations[j].data(), n,
-                         codes[j].data());
-      }
-    }
+    GatherProbeCodes(k, probe_cols, *translations, sel, n, codes);
   }
 
   bool ProbeKeyAt(const ProbeCodes& codes, size_t i, Key& key) const {
@@ -1004,18 +1129,16 @@ struct WideJoinKey {
 /// to a sequential build at any pool size. The probe side shards by row
 /// range like the single-table scan.
 template <typename JoinT, typename GroupsT>
-void JoinTables(const VecContext& ctx, const BoundQuery& q,
-                const JoinT& join, util::ThreadPool* pool, size_t kShardRows,
+void JoinTables(const VecContext& ctx, const data::Table& t0,
+                const data::Table& t1, const JoinT& join,
+                util::ThreadPool* pool, size_t kShardRows,
                 size_t group_reserve, GroupsT& out, ExecutorStats& stats,
                 CancelScope& cancel) {
-  const data::Table& t0 = *q.tables[0].table;
-  const data::Table& t1 = *q.tables[1].table;
   const double* w0 = t0.weights().data();
   const double* w1 = t1.weights().data();
 
   // --- Build side. ---
   const size_t build_rows = t0.num_rows();
-  stats.rows_scanned += build_rows;
   typename JoinT::Map build;
   if (pool != nullptr && build_rows >= 2 * kShardRows) {
     const size_t num_shards = (build_rows + kShardRows - 1) / kShardRows;
@@ -1029,7 +1152,7 @@ void JoinTables(const VecContext& ctx, const BoundQuery& q,
       std::vector<uint64_t> keybuf;
       ExecutorStats& local = shard_stats[s];
       local.shards_executed += 1;
-      BuildSelection(ctx, 0, lo, hi, sel, local.filter_kernel_rows);
+      BuildSelection(ctx, 0, lo, hi, sel, local);
       local.rows_passed += sel.size();
       local.join_build_rows += sel.size();
       local.gather_kernel_rows += join.InsertBuildRows(
@@ -1049,7 +1172,7 @@ void JoinTables(const VecContext& ctx, const BoundQuery& q,
       if (!cancel.Admit()) return;
       const size_t hi = std::min(build_rows, lo + kShardRows);
       stats.shards_executed += 1;
-      BuildSelection(ctx, 0, lo, hi, sel, stats.filter_kernel_rows);
+      BuildSelection(ctx, 0, lo, hi, sel, stats);
       stats.rows_passed += sel.size();
       stats.join_build_rows += sel.size();
       stats.gather_kernel_rows += join.InsertBuildRows(
@@ -1059,12 +1182,11 @@ void JoinTables(const VecContext& ctx, const BoundQuery& q,
 
   // --- Probe side. ---
   const size_t probe_rows = t1.num_rows();
-  stats.rows_scanned += probe_rows;
   auto probe_range = [&](GroupsT& groups, size_t lo, size_t hi,
                          ExecutorStats& local) {
     std::vector<uint32_t> sel;
     ProbeCodes codes;
-    BuildSelection(ctx, 1, lo, hi, sel, local.filter_kernel_rows);
+    BuildSelection(ctx, 1, lo, hi, sel, local);
     local.rows_passed += sel.size();
     local.join_probe_rows += sel.size();
     join.GatherProbe(*ctx.kernels, sel.data(), sel.size(), codes);
@@ -1109,169 +1231,201 @@ void JoinTables(const VecContext& ctx, const BoundQuery& q,
   }
 }
 
-/// Decodes, sorts, and emits the groups. Sorting the decoded label
-/// vectors reproduces the reference's std::map<vector<string>> order
-/// exactly (labels are unique per domain, so code order != label order
-/// is corrected here and only here).
+/// One world's whole execution — scan or join — into `groups`.
 template <typename GroupsT>
-QueryResult MaterializeGroups(const GroupsT& groups, const BoundQuery& q) {
-  QueryResult result;
-  result.group_names = q.group_names;
-  result.value_names = q.value_names;
-  const size_t num_aggs = q.agg_items.size();
-
-  // Global aggregates (no GROUP BY) always yield exactly one row, even
-  // when no input rows qualify.
-  if (q.group_columns.empty() && groups.num_groups() == 0) {
-    ResultRow row;
-    row.values.assign(num_aggs, 0.0);
-    result.rows.push_back(std::move(row));
-    return result;
+void RunWorld(const CompiledQuery& cq, const VecContext& ctx, size_t world,
+              util::ThreadPool* pool, size_t kShardRows, GroupsT& groups,
+              ExecutorStats& stats, CancelScope& cancel) {
+  const BoundQuery& q = *cq.q;
+  const data::Table& t0 = *q.tables[0].worlds[world].table;
+  if (q.tables.size() == 1) {
+    ScanSingleTable(ctx, t0, pool, kShardRows, cq.group_reserve, groups,
+                    stats, cancel);
+    return;
   }
-
-  std::vector<std::pair<std::vector<std::string>, size_t>> order;
-  order.reserve(groups.num_groups());
-  for (size_t g = 0; g < groups.num_groups(); ++g) {
-    std::vector<std::string> labels;
-    labels.reserve(q.group_columns.size());
-    groups.Labels(g, labels);
-    order.emplace_back(std::move(labels), g);
+  const data::Table& t1 = *q.tables[1].worlds[world].table;
+  std::vector<const data::ValueCode*> build_cols;
+  std::vector<const data::ValueCode*> probe_cols;
+  for (const auto& [lhs, rhs] : q.joins) {
+    build_cols.push_back(t0.column(lhs.attr).data());
+    probe_cols.push_back(t1.column(rhs.attr).data());
   }
-  std::sort(order.begin(), order.end());  // keys are distinct: total order
-
-  result.rows.reserve(order.size());
-  for (auto& [labels, g] : order) {
-    const double* acc = groups.acc(g);
-    ResultRow row;
-    row.group = std::move(labels);
-    row.values.reserve(num_aggs);
-    for (size_t i = 0; i < num_aggs; ++i) {
-      switch (q.agg_items[i].func) {
-        case AggFunc::kCount:
-          row.values.push_back(acc[0]);
-          break;
-        case AggFunc::kSum:
-          row.values.push_back(acc[2 * i + 1]);
-          break;
-        case AggFunc::kAvg:
-          row.values.push_back(
-              acc[2 * i + 2] > 0 ? acc[2 * i + 1] / acc[2 * i + 2] : 0.0);
-          break;
-        case AggFunc::kNone:
-          break;
-      }
-    }
-    result.rows.push_back(std::move(row));
+  if (cq.jcodec.packable()) {
+    JoinTables(ctx, t0, t1,
+               PackedJoinKey{&cq.jcodec, std::move(build_cols),
+                             std::move(probe_cols), &cq.translations},
+               pool, kShardRows, cq.group_reserve, groups, stats, cancel);
+  } else {
+    JoinTables(ctx, t0, t1,
+               WideJoinKey{std::move(build_cols), std::move(probe_cols),
+                           &cq.translations},
+               pool, kShardRows, cq.group_reserve, groups, stats, cancel);
   }
-  return result;
 }
 
-QueryResult ExecuteVectorized(const BoundQuery& q, const simd::Kernels& k,
+/// One group's finalized values from its accumulator block.
+void FinalizeValues(const double* acc, const std::vector<AggItem>& items,
+                    double* out) {
+  for (size_t i = 0; i < items.size(); ++i) {
+    switch (items[i].func) {
+      case AggFunc::kCount:
+        out[i] = acc[0];
+        break;
+      case AggFunc::kSum:
+        out[i] = acc[2 * i + 1];
+        break;
+      case AggFunc::kAvg:
+        out[i] = acc[2 * i + 2] > 0 ? acc[2 * i + 1] / acc[2 * i + 2] : 0.0;
+        break;
+      case AggFunc::kNone:
+        break;
+    }
+  }
+}
+
+/// Runs every world — as pool tasks when there are several — each into
+/// its own group table, then fuses them in world order into one
+/// code-keyed CodedResult. A world's values are finalized from its own
+/// table, so they are bitwise those of a one-world execution.
+template <typename GroupsT>
+CodedResult ExecuteWorlds(const CompiledQuery& cq, util::ThreadPool* pool,
+                          size_t kShardRows, ExecutorStats& stats,
+                          CancelScope& cancel) {
+  const BoundQuery& q = *cq.q;
+  const size_t num_worlds = q.tables[0].worlds.size();
+  std::vector<VecContext> ctxs;
+  ctxs.reserve(num_worlds);
+  size_t start_rows = 0;  // rows the worlds' selections start from
+  for (size_t k = 0; k < num_worlds; ++k) {
+    ctxs.push_back(MakeContext(cq, k));
+    for (size_t t = 0; t < q.tables.size(); ++t) {
+      start_rows += ctxs[k].has_posting[t]
+                        ? ctxs[k].posting[t].size()
+                        : q.tables[t].worlds[k].table->num_rows();
+    }
+  }
+  std::vector<std::optional<GroupsT>> groups(num_worlds);
+  std::vector<ExecutorStats> world_stats(num_worlds);
+  auto run = [&](size_t k) {
+    groups[k].emplace(ctxs[k], cq.group_reserve);
+    RunWorld(cq, ctxs[k], k, pool, kShardRows, *groups[k], world_stats[k],
+             cancel);
+  };
+  if (pool != nullptr && num_worlds > 1 && start_rows >= kMinFanOutRows) {
+    pool->ParallelFor(0, num_worlds, run);
+  } else {
+    for (size_t k = 0; k < num_worlds; ++k) run(k);
+  }
+  for (const ExecutorStats& s : world_stats) stats += s;
+
+  CodedResult out;
+  out.group_names = q.group_names;
+  out.value_names = q.value_names;
+  out.group_domains = cq.gdomains;
+  out.num_worlds = num_worlds;
+  const size_t nv = q.agg_items.size();
+  typename GroupsT::Table fused(0);  // key -> fused group, no accumulators
+  for (size_t k = 0; k < num_worlds; ++k) {
+    const GroupsT& world = *groups[k];
+    for (size_t g = 0; g < world.num_groups(); ++g) {
+      const size_t f = fused.Group(world.table.key(g));
+      if (f == out.num_groups()) {
+        world.AppendCodes(g, out.codes);
+        out.values.resize(out.values.size() + num_worlds * nv, 0.0);
+        out.present.resize(out.present.size() + num_worlds, 0);
+      }
+      FinalizeValues(world.acc(g), q.agg_items,
+                     out.values.data() + (f * num_worlds + k) * nv);
+      out.present[f * num_worlds + k] = 1;
+    }
+  }
+  // A global aggregate answers one row in every world, zeros where no
+  // row qualified.
+  if (q.group_columns.empty()) {
+    out.values.resize(num_worlds * nv, 0.0);
+    out.present.assign(num_worlds, 1);
+  }
+  return out;
+}
+
+CodedResult ExecuteVectorized(const BoundQuery& q, const simd::Kernels& k,
                               util::ThreadPool* pool, size_t kShardRows,
                               ExecutorStats& stats, CancelScope& cancel) {
-  VecContext ctx;
-  ctx.kernels = &k;
-  ctx.stride = 1 + 2 * q.agg_items.size();
+  CompiledQuery cq;
+  cq.q = &q;
+  cq.kernels = &k;
+  cq.stride = 1 + 2 * q.agg_items.size();
   // Compile the filters for the kernels: uint8 match tables padded by
   // kMatchPadBytes (the bound Filter stays unpadded for the reference
   // path).
   for (const Filter& f : q.filters) {
-    VecFilter vf;
-    vf.col = q.tables[f.column.table].table->column(f.column.attr).data();
-    vf.domain_size = static_cast<uint32_t>(f.code_matches.size());
-    vf.match.reserve(f.code_matches.size() + simd::kMatchPadBytes);
-    vf.match.assign(f.code_matches.begin(), f.code_matches.end());
-    vf.match.resize(f.code_matches.size() + simd::kMatchPadBytes, 0);
-    ctx.filters[f.column.table].push_back(std::move(vf));
-  }
-  ctx.aggs.resize(q.agg_items.size());
-  for (size_t i = 0; i < q.agg_items.size(); ++i) {
-    VecContext::AggCol& a = ctx.aggs[i];
-    a.is_count = q.agg_items[i].func == AggFunc::kCount;
-    if (!a.is_count) {
-      const BoundColumn& bc = q.agg_items[i].column;
-      a.col = q.tables[bc.table].table->column(bc.attr).data();
-      a.numeric = q.numeric_cache[i].data();
-      a.domain_size = static_cast<uint32_t>(q.numeric_cache[i].size());
-      a.table = static_cast<uint8_t>(bc.table);
-    }
+    std::vector<uint8_t> match;
+    match.reserve(f.code_matches.size() + simd::kMatchPadBytes);
+    match.assign(f.code_matches.begin(), f.code_matches.end());
+    match.resize(f.code_matches.size() + simd::kMatchPadBytes, 0);
+    cq.matches.push_back(std::move(match));
   }
   std::vector<size_t> gsizes;
   for (const BoundColumn& gc : q.group_columns) {
     const data::Domain& domain =
         q.tables[gc.table].table->schema()->domain(gc.attr);
-    ctx.gcols.push_back(q.tables[gc.table].table->column(gc.attr).data());
-    ctx.gtables.push_back(static_cast<uint8_t>(gc.table));
-    ctx.gdomains.push_back(&domain);
+    cq.gdomains.push_back(&domain);
     gsizes.push_back(domain.size());
   }
-  ctx.gcodec = data::PackedKeyCodec(gsizes);
-  ctx.group_packed = ctx.gcodec.packable();
+  cq.gcodec = data::PackedKeyCodec(gsizes);
 
   // Reserve the group table from the domain cardinality product where
   // that is cheap to know and small enough to be worth pre-sizing.
-  size_t group_reserve = 1;
-  if (ctx.group_packed) {
-    for (const data::Domain* d : ctx.gdomains) {
-      group_reserve *= std::max<size_t>(1, d->size());
-      if (group_reserve > (1u << 16)) {
-        group_reserve = 1u << 16;
+  if (cq.gcodec.packable()) {
+    for (const data::Domain* d : cq.gdomains) {
+      cq.group_reserve *= std::max<size_t>(1, d->size());
+      if (cq.group_reserve > (1u << 16)) {
+        cq.group_reserve = 1u << 16;
         break;
       }
     }
   }
 
-  if (q.tables.size() == 1) {
-    if (ctx.group_packed) {
-      PackedGroups groups(ctx, group_reserve);
-      ScanSingleTable(ctx, q, pool, kShardRows, group_reserve, groups, stats,
-                      cancel);
-      return MaterializeGroups(groups, q);
+  // Join key columns' codec and domain translations.
+  if (q.tables.size() == 2) {
+    const data::Table& t0 = *q.tables[0].table;
+    const data::Table& t1 = *q.tables[1].table;
+    std::vector<size_t> jsizes;
+    for (const auto& [lhs, rhs] : q.joins) {
+      const data::Domain& d0 = t0.schema()->domain(lhs.attr);
+      const data::Domain& d1 = t1.schema()->domain(rhs.attr);
+      jsizes.push_back(d0.size());
+      // Same Domain object (e.g. a self-join): codes already agree.
+      cq.translations.push_back(&d0 == &d1 ? std::vector<data::ValueCode>{}
+                                           : d1.TranslateTo(d0));
     }
-    WideGroups groups(ctx, group_reserve);
-    ScanSingleTable(ctx, q, pool, kShardRows, group_reserve, groups, stats,
-                    cancel);
-    return MaterializeGroups(groups, q);
+    cq.jcodec = data::PackedKeyCodec(jsizes);
   }
 
-  // --- Join: compile the key columns and domain translations. ---
-  const data::Table& t0 = *q.tables[0].table;
-  const data::Table& t1 = *q.tables[1].table;
-  std::vector<size_t> jsizes;
-  std::vector<const data::ValueCode*> build_cols;
-  std::vector<const data::ValueCode*> probe_cols;
-  std::vector<std::vector<data::ValueCode>> translations;
-  for (const auto& [lhs, rhs] : q.joins) {
-    const data::Domain& d0 = t0.schema()->domain(lhs.attr);
-    const data::Domain& d1 = t1.schema()->domain(rhs.attr);
-    jsizes.push_back(d0.size());
-    build_cols.push_back(t0.column(lhs.attr).data());
-    probe_cols.push_back(t1.column(rhs.attr).data());
-    // Same Domain object (e.g. a self-join): codes already agree.
-    translations.push_back(&d0 == &d1 ? std::vector<data::ValueCode>{}
-                                      : d1.TranslateTo(d0));
+  if (cq.gcodec.packable()) {
+    return ExecuteWorlds<PackedGroups>(cq, pool, kShardRows, stats, cancel);
   }
-  data::PackedKeyCodec jcodec(jsizes);
+  return ExecuteWorlds<WideGroups>(cq, pool, kShardRows, stats, cancel);
+}
 
-  auto run_join = [&](const auto& join) -> QueryResult {
-    if (ctx.group_packed) {
-      PackedGroups groups(ctx, group_reserve);
-      JoinTables(ctx, q, join, pool, kShardRows, group_reserve, groups,
-                 stats, cancel);
-      return MaterializeGroups(groups, q);
-    }
-    WideGroups groups(ctx, group_reserve);
-    JoinTables(ctx, q, join, pool, kShardRows, group_reserve, groups, stats,
-               cancel);
-    return MaterializeGroups(groups, q);
-  };
-  if (jcodec.packable()) {
-    return run_join(PackedJoinKey{std::move(jcodec), std::move(build_cols),
-                                  std::move(probe_cols),
-                                  std::move(translations)});
+/// Re-encodes a reference-path answer (labels) as a one-world
+/// CodedResult.
+CodedResult EncodeResult(const QueryResult& result, const BoundQuery& q) {
+  CodedResult out;
+  out.group_names = result.group_names;
+  out.value_names = result.value_names;
+  for (const BoundColumn& gc : q.group_columns) {
+    out.group_domains.push_back(
+        &q.tables[gc.table].table->schema()->domain(gc.attr));
   }
-  return run_join(WideJoinKey{std::move(build_cols), std::move(probe_cols),
-                              std::move(translations)});
+  std::vector<data::ValueCode> key(out.group_domains.size());
+  for (const ResultRow& row : result.rows) {
+    for (size_t j = 0; j < key.size(); ++j) {
+      key[j] = *out.group_domains[j]->Code(row.group[j]);
+    }
+    out.AddGroup(key, row.values);
+  }
+  return out;
 }
 
 }  // namespace
@@ -1338,14 +1492,76 @@ std::string QueryResult::ToString() const {
   return out.str();
 }
 
+CodedResult CodedResult::EmptyLike(size_t worlds) const {
+  CodedResult out;
+  out.group_names = group_names;
+  out.value_names = value_names;
+  out.group_domains = group_domains;
+  out.num_worlds = worlds;
+  return out;
+}
+
+void CodedResult::AddGroup(std::span<const data::ValueCode> group_key,
+                           std::span<const double> world_values) {
+  THEMIS_CHECK(group_key.size() == group_domains.size() &&
+               world_values.size() == num_worlds * value_names.size());
+  codes.insert(codes.end(), group_key.begin(), group_key.end());
+  values.insert(values.end(), world_values.begin(), world_values.end());
+  present.insert(present.end(), num_worlds, 1);
+}
+
+QueryResult CodedResult::Decode() const {
+  THEMIS_CHECK(num_worlds == 1) << "Decode needs a one-world result";
+  QueryResult result;
+  result.group_names = group_names;
+  result.value_names = value_names;
+  // Sorting the decoded label vectors reproduces the reference's
+  // std::map<vector<string>> order exactly (labels are unique per
+  // domain, so code order != label order is corrected here and only
+  // here).
+  std::vector<std::pair<std::vector<std::string>, size_t>> order;
+  order.reserve(num_groups());
+  for (size_t g = 0; g < num_groups(); ++g) {
+    std::vector<std::string> labels;
+    labels.reserve(group_domains.size());
+    const std::span<const data::ValueCode> group = key(g);
+    for (size_t j = 0; j < group_domains.size(); ++j) {
+      labels.push_back(group_domains[j]->Label(group[j]));
+    }
+    order.emplace_back(std::move(labels), g);
+  }
+  std::sort(order.begin(), order.end());  // keys are distinct: total order
+  result.rows.reserve(order.size());
+  for (auto& [labels, g] : order) {
+    const std::span<const double> v = world_values(g, 0);
+    result.rows.push_back({std::move(labels), {v.begin(), v.end()}});
+  }
+  return result;
+}
+
 Executor::Executor()
     : counters_(std::make_unique<StatCounters>()),
       env_shard_rows_(ShardRowsEnvOverride()),
       kernels_(&simd::KernelsFor(simd::FromEnv())) {}
 
 void Executor::RegisterTable(const std::string& name,
-                             const data::Table* table) {
-  catalog_[name] = table;
+                             const data::Table* table,
+                             const data::PostingIndex* index) {
+  RegisterWorlds(name, {{table, index}});
+}
+
+void Executor::RegisterWorlds(const std::string& name,
+                              std::vector<TableSource> worlds) {
+  THEMIS_CHECK(!worlds.empty()) << "relation '" << name << "' has no worlds";
+  for (const TableSource& world : worlds) {
+    THEMIS_CHECK(world.table != nullptr &&
+                 world.table->schema() == worlds.front().table->schema())
+        << "the worlds of '" << name << "' must share one schema";
+    THEMIS_CHECK(world.index == nullptr ||
+                 &world.index->table() == world.table)
+        << "index of '" << name << "' covers another table";
+  }
+  catalog_[name] = std::move(worlds);
 }
 
 Result<QueryResult> Executor::Query(const std::string& sql,
@@ -1362,6 +1578,20 @@ Result<QueryResult> Executor::Execute(const SelectStatement& stmt,
                                       size_t shard_rows,
                                       const util::CancelToken* cancel,
                                       obs::TraceContext* trace) const {
+  THEMIS_ASSIGN_OR_RETURN(CodedResult coded,
+                          ExecuteCoded(stmt, pool, shard_rows, cancel, trace));
+  if (coded.num_worlds != 1) {
+    return Status::InvalidArgument(
+        "Execute needs one-world relations; use ExecuteCoded");
+  }
+  return coded.Decode();
+}
+
+Result<CodedResult> Executor::ExecuteCoded(const SelectStatement& stmt,
+                                           util::ThreadPool* pool,
+                                           size_t shard_rows,
+                                           const util::CancelToken* cancel,
+                                           obs::TraceContext* trace) const {
   // Entry poll: an already-expired deadline (or a disconnected client)
   // unwinds before any shard runs, so small unsharded queries still honor
   // cancellation deterministically.
@@ -1377,13 +1607,20 @@ Result<QueryResult> Executor::Execute(const SelectStatement& stmt,
       ResolvedShardRowsFor(q, shard_rows, env_shard_rows_);
   // Row ids travel as uint32 through selection vectors and build tables,
   // and the AVX2 gathers index with *signed* 32-bit lanes, so rows must
-  // stay below 2^31; a table beyond that (not reachable with in-memory
-  // samples) takes the reference path, which carries size_t rows. That
-  // path doesn't observe per-filter/join flow, so only the coarse
-  // counters update.
+  // stay below 2^31; a one-world table beyond that (not reachable with
+  // in-memory samples) takes the reference path, which carries size_t
+  // rows. That path doesn't observe per-filter/join flow, so only the
+  // coarse counters update.
   for (const BoundTable& bt : q.tables) {
-    if (bt.table->num_rows() >
-        static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
+    for (const TableSource& world : bt.worlds) {
+      if (world.table->num_rows() <=
+          static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
+        continue;
+      }
+      if (bt.worlds.size() != 1) {
+        return Status::Unimplemented(
+            "multi-world relations are limited to 2^31 rows per table");
+      }
       obs::ScopedSpan span(trace, obs::Stage::kExecutorScan);
       QueryResult wide = ExecuteRowAtATime(q, pool, kShardRows);
       uint64_t scanned = 0;
@@ -1393,20 +1630,21 @@ Result<QueryResult> Executor::Execute(const SelectStatement& stmt,
       counters_->rows_scanned.fetch_add(scanned, std::memory_order_relaxed);
       counters_->groups_emitted.fetch_add(wide.rows.size(),
                                           std::memory_order_relaxed);
-      return wide;
+      return EncodeResult(wide, q);
     }
   }
   ExecutorStats local;
   CancelScope scope;
   scope.token = cancel;
-  QueryResult result = [&] {
+  CodedResult result = [&] {
     // The shard-loop span: everything from the first filter kernel to the
-    // sorted materialization, the executor's share of a request's
+    // fused code-keyed answer, the executor's share of a request's
     // end-to-end latency in METRICS' stage histograms.
     obs::ScopedSpan span(trace, obs::Stage::kExecutorScan);
     return ExecuteVectorized(q, *kernels_, pool, kShardRows, local, scope);
   }();
-  local.groups_emitted = result.rows.size();
+  local.groups_emitted = static_cast<uint64_t>(
+      std::count(result.present.begin(), result.present.end(), 1));
   counters_->rows_scanned.fetch_add(local.rows_scanned,
                                     std::memory_order_relaxed);
   counters_->rows_passed.fetch_add(local.rows_passed,
@@ -1436,6 +1674,10 @@ Result<QueryResult> Executor::ExecuteReference(const SelectStatement& stmt,
                                                util::ThreadPool* pool,
                                                size_t shard_rows) const {
   THEMIS_ASSIGN_OR_RETURN(BoundQuery q, Bind(stmt, catalog_));
+  if (q.tables.front().worlds.size() != 1) {
+    return Status::InvalidArgument(
+        "ExecuteReference needs one-world relations");
+  }
   // Same shard layout as Execute, so the two paths' pooled answers are
   // directly comparable bit for bit.
   return ExecuteRowAtATime(

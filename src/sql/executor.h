@@ -5,10 +5,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "data/posting_index.h"
 #include "data/table.h"
 #include "obs/trace.h"
 #include "simd/simd.h"
@@ -39,6 +41,54 @@ struct QueryResult {
 
   /// Pretty-printed table for examples and benchmarks.
   std::string ToString() const;
+};
+
+/// An answer before label decoding: one entry per group, keyed by the
+/// group columns' value codes, holding every world's finalized aggregate
+/// values and whether the group occurred in that world (see
+/// Executor::RegisterWorlds). Groups are in no particular order; Decode()
+/// sorts them by label. A global aggregate (no GROUP BY) has exactly one
+/// group with an empty key, present in every world — zeros where no row
+/// qualified, like the one row Execute always returns for it.
+struct CodedResult {
+  std::vector<std::string> group_names;
+  std::vector<std::string> value_names;
+  std::vector<const data::Domain*> group_domains;  // one per group column
+  size_t num_worlds = 1;
+  /// codes[g * group_domains.size() + j]: group g's code in column j.
+  std::vector<data::ValueCode> codes;
+  /// values[(g * num_worlds + k) * value_names.size() + i].
+  std::vector<double> values;
+  /// present[g * num_worlds + k] != 0: world k had a row in group g.
+  std::vector<uint8_t> present;
+
+  size_t num_groups() const {
+    return num_worlds == 0 ? 0 : present.size() / num_worlds;
+  }
+  std::span<const data::ValueCode> key(size_t g) const {
+    const size_t d = group_domains.size();
+    return {codes.data() + g * d, d};
+  }
+  std::span<const double> world_values(size_t g, size_t k) const {
+    const size_t nv = value_names.size();
+    return {values.data() + (g * num_worlds + k) * nv, nv};
+  }
+  bool present_in(size_t g, size_t k) const {
+    return present[g * num_worlds + k] != 0;
+  }
+
+  /// The same names and group columns with no groups, over `worlds`
+  /// worlds.
+  CodedResult EmptyLike(size_t worlds) const;
+
+  /// Appends a group present in every world with `world_values` (world
+  /// after world). The key must not already be present.
+  void AddGroup(std::span<const data::ValueCode> group_key,
+                std::span<const double> world_values);
+
+  /// Decodes labels and sorts rows by them — the Execute() result. One
+  /// world only.
+  QueryResult Decode() const;
 };
 
 /// Numeric interpretation of a domain label for SUM/AVG and ordered
@@ -86,7 +136,9 @@ struct ExecutorStats {
   /// resolves the same backend unless THEMIS_SIMD changed between
   /// constructions.
   std::string simd_backend;
-  uint64_t rows_scanned = 0;     ///< rows fed through the filter pipeline
+  /// Rows fed through the filter pipeline: the scanned row range, or the
+  /// posting-list rows when a code index selects (see Executor).
+  uint64_t rows_scanned = 0;
   uint64_t rows_passed = 0;      ///< rows surviving every filter
   uint64_t groups_emitted = 0;   ///< result rows materialized
   uint64_t join_build_rows = 0;  ///< rows inserted into join build tables
@@ -121,6 +173,13 @@ struct ExecutorStats {
   }
 };
 
+/// One registered table and its optional code index (same lifetime
+/// rules as the table: both must outlive the executor).
+struct TableSource {
+  const data::Table* table = nullptr;
+  const data::PostingIndex* index = nullptr;
+};
+
 /// Executes SQL over registered, weighted, in-memory tables. COUNT(*) is
 /// evaluated as SUM(weight) and joins multiply weights, so queries over a
 /// reweighted sample estimate the corresponding population answers
@@ -145,12 +204,36 @@ struct ExecutorStats {
 /// kernels move integers and copy doubles only — all float arithmetic
 /// stays scalar, in row order — so the SIMD and scalar backends are
 /// bitwise identical by construction; executor_diff_test proves it.
+///
+/// A table registered with a data::PostingIndex selects rows for
+/// single-code equality filters (`=` and one-literal IN) from the code's
+/// posting list instead of scanning the column: the shortest such list is
+/// cut to each shard's row range and the remaining filters compact it.
+/// The selection is the same ascending row ids the scan yields, so the
+/// answer is bitwise unchanged; every other predicate, and tables without
+/// an index, scan.
+///
+/// A relation registered as K worlds (RegisterWorlds) is answered for all
+/// K in one ExecuteCoded call: the statement binds once, each world runs
+/// exactly the single-table execution (its own shard layout and merge
+/// order, so its sums are bitwise those of a one-world executor over that
+/// table), worlds run as pool tasks when their selections start from
+/// enough rows to pay for the fan-out, and the per-world answers meet in
+/// one code-keyed group table without decoding labels.
 class Executor {
  public:
   Executor();
 
-  /// Registers `table` under `name` (pointer must outlive the executor).
-  void RegisterTable(const std::string& name, const data::Table* table);
+  /// Registers `table` under `name` as a one-world relation, with an
+  /// optional code index over it.
+  void RegisterTable(const std::string& name, const data::Table* table,
+                     const data::PostingIndex* index = nullptr);
+
+  /// Registers `name` as several worlds of one relation — e.g. the K
+  /// Bayesian-network samples. All worlds must share one schema, and
+  /// every relation in a query must have the same number of worlds.
+  void RegisterWorlds(const std::string& name,
+                      std::vector<TableSource> worlds);
 
   /// Parses and executes `sql`. `trace` (optional, like `cancel`) records
   /// the shard-loop portion of the execution as an obs::Stage::
@@ -176,11 +259,21 @@ class Executor {
   /// kCancelled / kDeadlineExceeded status instead of a partial answer.
   /// Completed answers are unaffected — a token that never fires leaves
   /// the execution (and its bitwise result) identical to passing nullptr.
+  /// Requires one-world relations.
   Result<QueryResult> Execute(const SelectStatement& stmt,
                               util::ThreadPool* pool = nullptr,
                               size_t shard_rows = 0,
                               const util::CancelToken* cancel = nullptr,
                               obs::TraceContext* trace = nullptr) const;
+
+  /// Execute for every world at once, before label decoding: world k's
+  /// values are bitwise those Execute returns over world k's tables. Same
+  /// pool, shard, cancel and trace contract as Execute.
+  Result<CodedResult> ExecuteCoded(const SelectStatement& stmt,
+                                   util::ThreadPool* pool = nullptr,
+                                   size_t shard_rows = 0,
+                                   const util::CancelToken* cancel = nullptr,
+                                   obs::TraceContext* trace = nullptr) const;
 
   /// The retained row-at-a-time reference implementation (the
   /// pre-vectorization executor, kept verbatim): label-string group and
@@ -188,7 +281,7 @@ class Executor {
   /// and bench_executor check the vectorized path is bitwise identical to
   /// — and measure its speedup over — this path. Does not update stats()
   /// and does not poll any cancel token (it is the oracle, never the
-  /// serving path).
+  /// serving path). Requires one-world relations and ignores indexes.
   Result<QueryResult> ExecuteReference(const SelectStatement& stmt,
                                        util::ThreadPool* pool = nullptr,
                                        size_t shard_rows = 0) const;
@@ -211,7 +304,8 @@ class Executor {
     std::atomic<uint64_t> queries_cancelled{0};
   };
 
-  std::unordered_map<std::string, const data::Table*> catalog_;
+  /// Per relation name: its worlds (one for RegisterTable).
+  std::unordered_map<std::string, std::vector<TableSource>> catalog_;
   /// Heap-allocated so the executor stays movable despite the atomics;
   /// queries tally locally and add here once at the end.
   std::unique_ptr<StatCounters> counters_;

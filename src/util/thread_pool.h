@@ -35,7 +35,7 @@ ThreadPool* ResolvePool(ThreadPool* pool, size_t num_threads,
 
 /// Fixed-size thread pool with a FIFO task queue — the single scheduling
 /// substrate shared by every parallel site (cross-query QueryBatch fan-out,
-/// per-plan K BN-sample executors, sharded scans). One pool, nested freely,
+/// per-plan K BN-sample worlds, sharded scans). One pool, nested freely,
 /// no oversubscription.
 ///
 /// Nesting never deadlocks: ParallelFor's caller claims shards itself and,

@@ -57,7 +57,7 @@ class MethodSuite {
 
   /// Batched variant: plans everything first, then submits whole plans to
   /// the catalog's thread pool so distinct queries run concurrently
-  /// (K-executor GROUP BY fan-outs nest on the same pool), with shared
+  /// (K-world GROUP BY fan-outs nest on the same pool), with shared
   /// inference-cache and result-memo reuse. Bitwise identical answers to a
   /// Query() loop at any pool size.
   Result<std::vector<sql::QueryResult>> QueryBatch(

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -89,6 +90,45 @@ TEST_F(Example31Test, HybridUsesSampleForPresentTuples) {
   ASSERT_TRUE(estimate.ok());
   EXPECT_NEAR(*estimate, 2.0, 1e-6);
   EXPECT_TRUE(evaluator.SampleContains({1, 2}, {0, 0}));
+}
+
+/// Point lookups probe the sample's posting lists once: the mass must be
+/// bitwise Table::GroupWeights' sum (ascending rows from 0.0) for every
+/// key of several attribute sets, and absent keys report no rows.
+TEST_F(Example31Test, SamplePointMassMatchesGroupWeightsBitwise) {
+  data::Table sample(schema_);
+  std::mt19937_64 rng(3);
+  for (size_t r = 0; r < 3000; ++r) {
+    sample.AppendRow({static_cast<data::ValueCode>(rng() % 2),
+                      static_cast<data::ValueCode>(rng() % 3),
+                      static_cast<data::ValueCode>(rng() % 2)});
+  }
+  auto model = ThemisModel::Build(std::move(sample), aggregates_,
+                                  FastOptions());
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  HybridEvaluator evaluator(&*model);
+  const data::Table& reweighted = model->reweighted_sample();
+  const std::vector<std::vector<size_t>> attr_sets = {
+      {0}, {1, 2}, {2, 0}, {0, 1, 2}};
+  for (const std::vector<size_t>& attrs : attr_sets) {
+    const auto weights = reweighted.GroupWeights(attrs);
+    for (const auto& [key, mass] : weights) {
+      EXPECT_TRUE(evaluator.SampleContains(attrs, key));
+      auto estimate =
+          evaluator.PointEstimate(attrs, key, AnswerMode::kSampleOnly);
+      ASSERT_TRUE(estimate.ok());
+      EXPECT_EQ(*estimate, mass);  // bitwise
+      auto hybrid = evaluator.PointEstimate(attrs, key);
+      ASSERT_TRUE(hybrid.ok());
+      EXPECT_EQ(*hybrid, mass);
+    }
+  }
+  // d_st = NY (code 2) never occurs in this sample.
+  EXPECT_FALSE(evaluator.SampleContains({1, 2}, {0, 2}));
+  auto absent = evaluator.PointEstimate({1, 2}, {0, 2},
+                                        AnswerMode::kSampleOnly);
+  ASSERT_TRUE(absent.ok());
+  EXPECT_EQ(*absent, 0.0);
 }
 
 TEST_F(Example31Test, HybridUsesBnForMissingTuples) {

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <random>
+#include <thread>
+#include <vector>
 
 #include "data/bucketize.h"
 #include "data/csv.h"
 #include "data/domain.h"
+#include "data/posting_index.h"
 #include "data/schema.h"
 #include "data/table.h"
 
@@ -167,6 +172,123 @@ TEST(CsvTest, RaggedRowFails) {
   }
   EXPECT_FALSE(ReadCsv(path).ok());
   std::remove(path.c_str());
+}
+
+/// A table over two attributes (7 and 300 codes) with more rows than
+/// two posting blocks, so lists span three uint16 blocks.
+Table MakeIndexedTable(size_t rows) {
+  auto schema = std::make_shared<Schema>();
+  std::vector<std::string> small;
+  std::vector<std::string> large;
+  for (int i = 0; i < 7; ++i) small.push_back("s" + std::to_string(i));
+  for (int i = 0; i < 300; ++i) large.push_back("l" + std::to_string(i));
+  schema->AddAttribute("small", small);
+  schema->AddAttribute("large", large);
+  Table table(schema);
+  table.Reserve(rows);
+  std::mt19937_64 rng(7);
+  for (size_t r = 0; r < rows; ++r) {
+    table.AppendRow({static_cast<ValueCode>(rng() % 7),
+                     static_cast<ValueCode>(rng() % 300)});
+  }
+  return table;
+}
+
+/// The rows of `table` holding `code` in `attr` within [lo, hi), by scan.
+std::vector<uint32_t> ScanRows(const Table& table, size_t attr,
+                               ValueCode code, size_t lo, size_t hi) {
+  std::vector<uint32_t> rows;
+  for (size_t r = lo; r < hi; ++r) {
+    if (table.Get(r, attr) == code) rows.push_back(static_cast<uint32_t>(r));
+  }
+  return rows;
+}
+
+TEST(PostingIndexTest, ListsEqualAColumnScan) {
+  const Table table = MakeIndexedTable(2 * PostingList::kBlockRows + 4321);
+  const PostingIndex index(&table);
+  for (size_t attr = 0; attr < 2; ++attr) {
+    const size_t codes = table.schema()->domain(attr).size();
+    size_t total = 0;
+    for (size_t c = 0; c < codes; ++c) {
+      const ValueCode code = static_cast<ValueCode>(c);
+      const PostingList list = index.List(attr, code);
+      std::vector<uint32_t> rows;
+      list.ForEachRow([&](uint32_t r) { rows.push_back(r); });
+      EXPECT_EQ(rows, ScanRows(table, attr, code, 0, table.num_rows()));
+      EXPECT_EQ(list.size(), rows.size());
+      total += list.size();
+    }
+    EXPECT_EQ(total, table.num_rows());
+  }
+}
+
+TEST(PostingIndexTest, RowsInCutsAtAnyRangeAcrossBlocks) {
+  const Table table = MakeIndexedTable(2 * PostingList::kBlockRows + 4321);
+  const PostingIndex index(&table);
+  const uint32_t block = PostingList::kBlockRows;
+  const uint32_t n = static_cast<uint32_t>(table.num_rows());
+  const std::vector<std::pair<uint32_t, uint32_t>> ranges = {
+      {0, n},
+      {0, block},
+      {block, 2 * block},
+      {block - 5, block + 5},          // straddles a block boundary
+      {block - 1000, 2 * block + 17},  // spans a whole block
+      {2 * block, n},                  // the partial last block
+      {12345, 12346},
+      {777, 777},                      // empty range
+      {n - 3, n}};
+  // Every row holds one of the 7 codes, so each range bound that is a
+  // row lands in exactly one list.
+  for (ValueCode code = 0; code < 7; ++code) {
+    const PostingList list = index.List(0, code);
+    for (const auto& [lo, hi] : ranges) {
+      std::vector<uint32_t> out(list.size());
+      out.resize(list.RowsIn(lo, hi, out.data()));
+      EXPECT_EQ(out, ScanRows(table, 0, code, lo, hi))
+          << "code " << code << " [" << lo << ", " << hi << ")";
+    }
+  }
+}
+
+TEST(PostingIndexTest, CodesOutsideTheDomainListNothing) {
+  const Table table = MakeIndexedTable(1000);
+  const PostingIndex index(&table);
+  EXPECT_EQ(index.List(0, kNullCode).size(), 0u);
+  EXPECT_EQ(index.List(0, 7).size(), 0u);
+  EXPECT_EQ(index.List(1, 1 << 30).size(), 0u);
+  uint32_t out[1];
+  EXPECT_EQ(index.List(0, 7).RowsIn(0, 1000, out), 0u);
+
+  const Table empty(table.schema());
+  const PostingIndex empty_index(&empty);
+  EXPECT_EQ(empty_index.List(1, 5).size(), 0u);
+}
+
+/// Several threads make the first List() call on the same attribute at
+/// once: exactly one build runs, every caller sees the published lists,
+/// and TSan sees the once-flag publication as race-free.
+TEST(PostingIndexTest, ConcurrentFirstUseBuildsOnce) {
+  const Table table = MakeIndexedTable(PostingList::kBlockRows + 999);
+  const PostingIndex index(&table);
+  constexpr size_t kThreads = 8;
+  std::atomic<size_t> arrived{0};
+  std::vector<std::vector<uint32_t>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      const PostingList list =
+          index.List(1, static_cast<ValueCode>(t * 37 % 300));
+      list.ForEachRow([&](uint32_t r) { seen[t].push_back(r); });
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], ScanRows(table, 1, static_cast<ValueCode>(t * 37 % 300),
+                                0, table.num_rows()));
+  }
 }
 
 }  // namespace

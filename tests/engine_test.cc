@@ -4,6 +4,8 @@
 // cache, SQL normalization), and ThemisDb::QueryBatch.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,8 @@
 #include "core/model.h"
 #include "core/query_plan.h"
 #include "core/themis_db.h"
+#include "sql/parser.h"
+#include "util/cancel.h"
 #include "util/lru_cache.h"
 #include "util/thread_pool.h"
 
@@ -788,6 +792,139 @@ TEST_F(EngineTest, QueryBatchFailsFastOnMalformedSql) {
   const std::vector<std::string> sqls = {
       "SELECT COUNT(*) FROM flights", "definitely not sql"};
   EXPECT_FALSE(db.QueryBatch(sqls).ok());
+}
+
+/// The pre-fusion BN GROUP BY, kept as a test oracle: K one-world
+/// executors (no code index) answer `sql` separately, their label-decoded
+/// rows merge in a std::map keyed by label vectors (groups present in all
+/// K survive, values summed in sample order and divided by K), and the
+/// hybrid answer unions the sample's rows with the BN-only groups through
+/// a std::set. `phantoms` counts groups dropped by the all-K rule.
+sql::QueryResult OracleGroupBy(const ThemisModel& model,
+                               const std::string& table,
+                               const std::string& sql, AnswerMode mode,
+                               util::ThreadPool* pool, size_t* phantoms) {
+  auto stmt = sql::Parse(sql);
+  EXPECT_TRUE(stmt.ok()) << sql;
+  const size_t shard_rows = model.options().shard_rows;
+  std::map<std::vector<std::string>, std::pair<std::vector<double>, size_t>>
+      merged;
+  sql::QueryResult bn;
+  const size_t k_total = model.bn_samples().size();
+  for (size_t k = 0; k < k_total; ++k) {
+    sql::Executor executor;
+    executor.RegisterTable(table, &model.bn_samples()[k]);
+    auto result = executor.Execute(*stmt, pool, shard_rows);
+    EXPECT_TRUE(result.ok()) << sql;
+    if (k == 0) {
+      bn.group_names = result->group_names;
+      bn.value_names = result->value_names;
+    }
+    for (const sql::ResultRow& row : result->rows) {
+      auto [it, inserted] = merged.try_emplace(
+          row.group, std::vector<double>(row.values.size(), 0.0), 0u);
+      for (size_t i = 0; i < row.values.size(); ++i) {
+        it->second.first[i] += row.values[i];
+      }
+      it->second.second += 1;
+    }
+  }
+  for (auto& [group, acc] : merged) {
+    if (acc.second != k_total) {
+      ++*phantoms;
+      continue;
+    }
+    sql::ResultRow row;
+    row.group = group;
+    row.values = acc.first;
+    for (double& v : row.values) v /= static_cast<double>(k_total);
+    bn.rows.push_back(std::move(row));
+  }
+  if (mode == AnswerMode::kBnOnly) return bn;
+
+  sql::Executor sample_executor;
+  sample_executor.RegisterTable(table, &model.reweighted_sample());
+  auto sample = sample_executor.Execute(*stmt, pool, shard_rows);
+  EXPECT_TRUE(sample.ok()) << sql;
+  std::set<std::vector<std::string>> sample_groups;
+  for (const sql::ResultRow& row : sample->rows) {
+    sample_groups.insert(row.group);
+  }
+  for (const sql::ResultRow& row : bn.rows) {
+    if (sample_groups.count(row.group) == 0) sample->rows.push_back(row);
+  }
+  std::sort(sample->rows.begin(), sample->rows.end(),
+            [](const sql::ResultRow& a, const sql::ResultRow& b) {
+              return a.group < b.group;
+            });
+  return *sample;
+}
+
+/// The fused K-world BN GROUP BY (posting-list selection, code-keyed
+/// all-K rule, average and hybrid union) is bitwise the oracle's answer
+/// in hybrid and bn modes, on a model whose small BN samples disagree on
+/// groups so phantom suppression fires.
+TEST_F(EngineTest, FusedBnGroupByMatchesPerSampleOracle) {
+  ThemisOptions options = FastOptions();
+  options.bn_group_by_samples = 6;
+  options.bn_sample_rows = 9;
+  options.enable_result_memo = false;
+  ThemisModel model = BuildModel(options);
+  ASSERT_EQ(model.bn_samples().size(), 6u);
+  util::ThreadPool pool(3);
+  HybridEvaluator evaluator(&model, "flights", &pool);
+  const std::vector<std::string> sqls = {
+      "SELECT o_st, d_st, COUNT(*) FROM flights GROUP BY o_st, d_st",
+      "SELECT date, o_st, COUNT(*), SUM(date), AVG(date) FROM flights "
+      "WHERE d_st = 'NY' GROUP BY date, o_st",
+      "SELECT d_st, AVG(date) FROM flights WHERE o_st IN ('NC') AND "
+      "date = '02' GROUP BY d_st",
+      "SELECT d_st, COUNT(*) FROM flights WHERE o_st = 'ZZ' GROUP BY d_st",
+      // Global aggregates: one row from every sample, never suppressed.
+      "SELECT COUNT(*), SUM(date) FROM flights WHERE date <> '02'",
+      "SELECT COUNT(*), AVG(date) FROM flights WHERE o_st = 'FL'",
+      // Self-join: both sides bind to the same BN sample in each world.
+      "SELECT a.o_st, COUNT(*), SUM(b.date) FROM flights a, flights b "
+      "WHERE a.d_st = b.o_st AND a.date = '01' GROUP BY a.o_st",
+  };
+  size_t phantoms = 0;
+  for (const AnswerMode mode : {AnswerMode::kHybrid, AnswerMode::kBnOnly}) {
+    for (const std::string& sql : sqls) {
+      const sql::QueryResult expected =
+          OracleGroupBy(model, "flights", sql, mode, &pool, &phantoms);
+      auto fused = evaluator.Query(sql, mode);
+      ASSERT_TRUE(fused.ok()) << sql << ": " << fused.status().ToString();
+      EXPECT_EQ(fused->group_names, expected.group_names) << sql;
+      EXPECT_EQ(fused->value_names, expected.value_names) << sql;
+      ASSERT_EQ(fused->rows.size(), expected.rows.size()) << sql;
+      for (size_t i = 0; i < expected.rows.size(); ++i) {
+        EXPECT_EQ(fused->rows[i].group, expected.rows[i].group) << sql;
+        // Bitwise equality, not approximate.
+        EXPECT_EQ(fused->rows[i].values, expected.rows[i].values) << sql;
+      }
+    }
+  }
+  EXPECT_GT(phantoms, 0u) << "no query exercised phantom suppression";
+}
+
+/// A token that fires after the request was admitted — here from the
+/// uncached-execute hook, before the executors run — still surfaces as
+/// kCancelled in both modes, never as a degraded sample answer.
+TEST_F(EngineTest, CancelMidQuerySurfacesFromFusedBnGroupBy) {
+  ThemisOptions options = FastOptions();
+  options.enable_result_memo = false;
+  ThemisModel model = BuildModel(options);
+  HybridEvaluator evaluator(&model, "flights");
+  const std::string sql =
+      "SELECT o_st, COUNT(*) FROM flights WHERE date = '01' GROUP BY o_st";
+  for (const AnswerMode mode : {AnswerMode::kHybrid, AnswerMode::kBnOnly}) {
+    util::CancelToken token;
+    evaluator.set_uncached_execute_hook([&token] { token.Cancel(); });
+    auto result = evaluator.Query(sql, mode, &token);
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+    evaluator.set_uncached_execute_hook(nullptr);
+    EXPECT_TRUE(evaluator.Query(sql, mode).ok());
+  }
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 // agree bit for bit as well. A second executor pinned to the scalar SIMD
 // backend (THEMIS_SIMD=scalar at construction) runs every query too, so
 // on SIMD-capable hosts each check is three-way:
-// simd == scalar == reference, bit for bit.
+// simd == scalar == reference, bit for bit. A third fixture registers the
+// tables with code posting indexes: the index path must equal the scan
+// path and the reference, and multi-world relations must answer each
+// world exactly like a one-world executor over that world's table.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -16,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "data/posting_index.h"
 #include "data/table.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
@@ -305,6 +309,220 @@ TEST(ExecutorWideKeyTest, WideGroupAndJoinKeysMatchReference) {
       ASSERT_TRUE(vectorized.ok()) << sql;
       ExpectBitwiseEqual(*vectorized, *reference, sql);
       ASSERT_FALSE(reference->rows.empty()) << sql;
+    }
+  }
+}
+
+/// Pool sizes 1, 2, and hardware.
+std::vector<std::unique_ptr<util::ThreadPool>> MakePools() {
+  std::vector<std::unique_ptr<util::ThreadPool>> pools;
+  const size_t hw = std::max<size_t>(2, std::thread::hardware_concurrency());
+  for (const size_t threads : {size_t{1}, size_t{2}, hw}) {
+    pools.push_back(std::make_unique<util::ThreadPool>(threads));
+  }
+  return pools;
+}
+
+/// A probe table of more than 65,536 rows (selections cross a uint16
+/// posting block) and a small join partner, each with a code index.
+class ExecutorIndexDiffTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kRows = data::PostingList::kBlockRows + 14464;
+
+  void SetUp() override {
+    auto labels = [](const std::string& prefix, size_t n) {
+      std::vector<std::string> out;
+      for (size_t i = 0; i < n; ++i) out.push_back(prefix + std::to_string(i));
+      return out;
+    };
+    auto t_schema = std::make_shared<data::Schema>();
+    t_schema->AddAttribute("g1", labels("g1_", 7));
+    t_schema->AddAttribute("g2", labels("g2_", 13));
+    t_schema->AddAttribute("v", labels("", 9));
+    t_schema->AddAttribute("c", labels("c", 5));
+    t_schema->AddAttribute("k", labels("k", 199));
+    t_ = std::make_unique<data::Table>(t_schema);
+    std::mt19937_64 rng(23);
+    for (size_t r = 0; r < kRows; ++r) {
+      t_->AppendRow({static_cast<data::ValueCode>(rng() % 7),
+                     static_cast<data::ValueCode>(rng() % 13),
+                     static_cast<data::ValueCode>(rng() % 9),
+                     static_cast<data::ValueCode>(rng() % 5),
+                     static_cast<data::ValueCode>(rng() % 199)});
+      t_->set_weight(r, static_cast<double>(rng() % 16) * 0.25 + 0.25);
+    }
+    auto u_schema = std::make_shared<data::Schema>();
+    u_schema->AddAttribute("k2", labels("k", 199));
+    u_schema->AddAttribute("h", labels("h", 4));
+    u_ = std::make_unique<data::Table>(u_schema);
+    for (size_t r = 0; r < 2000; ++r) {
+      u_->AppendRow({static_cast<data::ValueCode>(rng() % 199),
+                     static_cast<data::ValueCode>(rng() % 4)});
+      u_->set_weight(r, static_cast<double>(rng() % 8) * 0.25 + 0.5);
+    }
+    t_index_ = std::make_unique<data::PostingIndex>(t_.get());
+    u_index_ = std::make_unique<data::PostingIndex>(u_.get());
+    indexed_.RegisterTable("t", t_.get(), t_index_.get());
+    indexed_.RegisterTable("u", u_.get(), u_index_.get());
+    scanning_.RegisterTable("t", t_.get());
+    scanning_.RegisterTable("u", u_.get());
+  }
+
+  /// Checks `sql` on the index path against the scan path and the
+  /// reference in every configuration, and whether the index selected
+  /// (fewer rows scanned) or was bypassed (the same rows scanned).
+  void CheckQuery(const std::string& sql, bool index_selects) {
+    auto stmt = Parse(sql);
+    ASSERT_TRUE(stmt.ok()) << sql;
+    auto reference = scanning_.ExecuteReference(*stmt);
+    ASSERT_TRUE(reference.ok()) << sql;
+    std::vector<std::pair<util::ThreadPool*, size_t>> configs = {{nullptr, 0}};
+    for (const auto& pool : pools_) {
+      for (const size_t shard_rows : {size_t{0}, size_t{1000}}) {
+        configs.emplace_back(pool.get(), shard_rows);
+      }
+    }
+    for (const auto& [pool, shard_rows] : configs) {
+      const std::string what =
+          sql + " [pool " +
+          std::to_string(pool == nullptr ? 0 : pool->num_threads()) +
+          " shard " + std::to_string(shard_rows) + "]";
+      const uint64_t indexed_before = indexed_.stats().rows_scanned;
+      const uint64_t scanning_before = scanning_.stats().rows_scanned;
+      auto via_index = indexed_.Execute(*stmt, pool, shard_rows);
+      ASSERT_TRUE(via_index.ok()) << what;
+      auto via_scan = scanning_.Execute(*stmt, pool, shard_rows);
+      ASSERT_TRUE(via_scan.ok()) << what;
+      ExpectBitwiseEqual(*via_index, *via_scan, "index vs scan: " + what);
+      // Exact weights: every layout agrees with the sequential reference.
+      ExpectBitwiseEqual(*via_index, *reference, "index vs ref: " + what);
+      if (pool != nullptr) {
+        auto ref_pooled = scanning_.ExecuteReference(*stmt, pool, shard_rows);
+        ASSERT_TRUE(ref_pooled.ok()) << what;
+        ExpectBitwiseEqual(*via_index, *ref_pooled, "pooled ref: " + what);
+      }
+      const uint64_t indexed_rows =
+          indexed_.stats().rows_scanned - indexed_before;
+      const uint64_t scanned_rows =
+          scanning_.stats().rows_scanned - scanning_before;
+      if (index_selects) {
+        EXPECT_LT(indexed_rows, scanned_rows) << what;
+      } else {
+        EXPECT_EQ(indexed_rows, scanned_rows) << what;
+      }
+    }
+  }
+
+  std::unique_ptr<data::Table> t_;
+  std::unique_ptr<data::Table> u_;
+  std::unique_ptr<data::PostingIndex> t_index_;
+  std::unique_ptr<data::PostingIndex> u_index_;
+  std::vector<std::unique_ptr<util::ThreadPool>> pools_ = MakePools();
+  Executor indexed_;
+  Executor scanning_;
+};
+
+TEST_F(ExecutorIndexDiffTest, PointFiltersSelectFromPostingLists) {
+  CheckQuery("SELECT g2, COUNT(*), SUM(v) FROM t WHERE g1 = 'g1_3' "
+             "GROUP BY g2",
+             true);
+  // The second equality's list (1 of 199 codes) is shorter than the
+  // first's (1 of 7): it selects and g1 compacts.
+  CheckQuery("SELECT g2, COUNT(*), AVG(v) FROM t WHERE g1 = 'g1_3' AND "
+             "k = 'k17' GROUP BY g2",
+             true);
+  CheckQuery("SELECT c, AVG(v), COUNT(*) FROM t WHERE c IN ('c2') AND "
+             "g1 = 'g1_0' GROUP BY c",
+             true);
+  // An ordered filter compacts the posting selection.
+  CheckQuery("SELECT g2, COUNT(*) FROM t WHERE v < 4 AND g1 = 'g1_5' "
+             "GROUP BY g2",
+             true);
+  CheckQuery("SELECT COUNT(*), SUM(v) FROM t WHERE g2 = 'g2_11'", true);
+  // Labels outside the domain select the empty list.
+  CheckQuery("SELECT g1, COUNT(*) FROM t WHERE g1 = 'nope' GROUP BY g1",
+             true);
+  CheckQuery("SELECT COUNT(*), AVG(v) FROM t WHERE c IN ('zz')", true);
+  // Both join sides select from their own index.
+  CheckQuery("SELECT h, COUNT(*), SUM(v) FROM u b, t p WHERE b.k2 = p.k "
+             "AND p.g1 = 'g1_4' AND b.h = 'h1' GROUP BY h",
+             true);
+}
+
+TEST_F(ExecutorIndexDiffTest, OtherPredicatesBypassTheIndex) {
+  CheckQuery("SELECT g1, COUNT(*) FROM t WHERE c IN ('c1', 'c3') "
+             "GROUP BY g1",
+             false);
+  CheckQuery("SELECT g1, SUM(v) FROM t WHERE v < 4 GROUP BY g1", false);
+  CheckQuery("SELECT g2, COUNT(*) FROM t WHERE g1 <> 'g1_2' GROUP BY g2",
+             false);
+  CheckQuery("SELECT c, COUNT(*) FROM t GROUP BY c", false);
+}
+
+/// Three tables with one schema as the worlds of one relation: each
+/// world's values in the fused answer are bitwise a one-world executor's
+/// over that table, and presence marks exactly the groups that world
+/// produced.
+TEST(ExecutorWorldsTest, EachWorldEqualsAOneWorldExecutor) {
+  auto schema = std::make_shared<data::Schema>();
+  schema->AddAttribute("a", {"a0", "a1", "a2", "a3"});
+  schema->AddAttribute("b", {"b0", "b1", "b2", "b3", "b4", "b5"});
+  schema->AddAttribute("v", {"1", "2", "5"});
+  std::vector<std::unique_ptr<data::Table>> tables;
+  std::vector<std::unique_ptr<data::PostingIndex>> indexes;
+  std::vector<TableSource> worlds;
+  std::mt19937_64 rng(99);
+  for (size_t k = 0; k < 3; ++k) {
+    auto table = std::make_unique<data::Table>(schema);
+    const size_t rows = 3000 + 1000 * k;
+    for (size_t r = 0; r < rows; ++r) {
+      // World k never draws b = b<k>, so worlds disagree on groups.
+      data::ValueCode b = static_cast<data::ValueCode>(rng() % 6);
+      if (b == static_cast<data::ValueCode>(k)) b = 5;
+      table->AppendRow({static_cast<data::ValueCode>(rng() % 4), b,
+                        static_cast<data::ValueCode>(rng() % 3)});
+      table->set_weight(r, static_cast<double>(rng() % 8) * 0.25 + 0.25);
+    }
+    indexes.push_back(std::make_unique<data::PostingIndex>(table.get()));
+    worlds.push_back({table.get(), indexes.back().get()});
+    tables.push_back(std::move(table));
+  }
+  Executor fused;
+  fused.RegisterWorlds("w", worlds);
+  const std::vector<std::string> sqls = {
+      "SELECT a, b, COUNT(*), SUM(v) FROM w GROUP BY a, b",
+      "SELECT b, AVG(v) FROM w WHERE a = 'a2' GROUP BY b",
+      "SELECT COUNT(*), SUM(v) FROM w WHERE b = 'b1'",
+      "SELECT x.b, COUNT(*) FROM w x, w y WHERE x.a = y.a AND x.b = 'b0' "
+      "AND y.b = 'b4' GROUP BY x.b",
+  };
+  auto pools = MakePools();
+  for (const std::string& sql : sqls) {
+    auto stmt = Parse(sql);
+    ASSERT_TRUE(stmt.ok()) << sql;
+    EXPECT_EQ(fused.Execute(*stmt).status().code(),
+              StatusCode::kInvalidArgument);
+    for (util::ThreadPool* pool :
+         {static_cast<util::ThreadPool*>(nullptr), pools[0].get(),
+          pools[2].get()}) {
+      for (const size_t shard_rows : {size_t{0}, size_t{1000}}) {
+        auto coded = fused.ExecuteCoded(*stmt, pool, shard_rows);
+        ASSERT_TRUE(coded.ok()) << sql;
+        ASSERT_EQ(coded->num_worlds, 3u);
+        for (size_t k = 0; k < 3; ++k) {
+          Executor single;
+          single.RegisterTable("w", tables[k].get());
+          auto expected = single.Execute(*stmt, pool, shard_rows);
+          ASSERT_TRUE(expected.ok()) << sql;
+          CodedResult world_k = coded->EmptyLike(1);
+          for (size_t g = 0; g < coded->num_groups(); ++g) {
+            if (!coded->present_in(g, k)) continue;
+            world_k.AddGroup(coded->key(g), coded->world_values(g, k));
+          }
+          ExpectBitwiseEqual(world_k.Decode(), *expected,
+                             sql + " world " + std::to_string(k));
+        }
+      }
     }
   }
 }
