@@ -786,6 +786,7 @@ int Smoke(const std::string& metrics_out, const std::string& json_path,
   aggregate::AggregateSet aggs =
       MakePaperAggregates(flights.population, flights.covered_attrs, 5, 4);
   core::ThemisOptions options = BenchOptions();
+  options.max_inflight = 1;
   core::ThemisDb db(options);
   THEMIS_CHECK_OK(
       db.InsertSample("flights", flights.samples.at("Corners").Clone()));
@@ -799,7 +800,6 @@ int Smoke(const std::string& metrics_out, const std::string& json_path,
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
   server::QueryServer::Options server_options;
-  server_options.max_inflight = 1;
   server_options.request_hook = [released] { released.wait(); };
   // Trace every request so the smoke exercises the whole observability
   // path: spans recorded per stage, stage histograms populated, and the

@@ -163,6 +163,8 @@ int Main(int argc, const char** argv) {
   if (serve) {
     server::QueryServer::Options server_options;
     server_options.port = static_cast<uint16_t>(serve_port);
+    // Trace every request so the 'slowlog' command below has entries.
+    server_options.trace_sample_n = 1;
     server::QueryServer server(&db.catalog(), server_options);
     Status started = server.Start();
     if (!started.ok()) {
@@ -217,8 +219,7 @@ int Main(int argc, const char** argv) {
           continue;
         }
         if (stats->slow_queries.empty()) {
-          std::printf("slow-query log is empty (enable tracing with "
-                      "trace_sample_n / slow_query_ms)\n");
+          std::printf("slow-query log is empty (no query served yet)\n");
           continue;
         }
         for (const obs::SlowQueryEntry& entry : stats->slow_queries) {

@@ -60,16 +60,6 @@ stats::FreqTable ReorderTo(const stats::FreqTable& table,
 
 }  // namespace
 
-size_t ApproxMarginalBytes(const stats::FreqTable& table) {
-  // Per group: the TupleKey codes, the mass double, and unordered_map node
-  // overhead (bucket pointer + node header, ~48 bytes on 64-bit).
-  constexpr size_t kNodeOverhead = 48;
-  return sizeof(stats::FreqTable) +
-         table.num_groups() *
-             (table.attrs().size() * sizeof(data::ValueCode) +
-              sizeof(double) + kNodeOverhead);
-}
-
 InferenceEngine::InferenceEngine(const BayesianNetwork* network)
     : InferenceEngine(network, Options()) {}
 
@@ -77,19 +67,8 @@ InferenceEngine::InferenceEngine(const BayesianNetwork* network,
                                  Options options)
     : network_(network),
       ve_(network),
-      cost_aware_(options.cache_bytes > 0),
       cache_enabled_(options.enable_cache),
-      cache_(options.cache_bytes > 0 ? options.cache_bytes
-                                     : options.cache_capacity) {}
-
-size_t InferenceEngine::EntryCost(const CacheValue& value) const {
-  if (!cost_aware_) return 1;
-  if (value.marginal == nullptr) {
-    // Scalar probability: key string + value + list/map overhead.
-    return sizeof(CacheValue) + 64;
-  }
-  return sizeof(CacheValue) + ApproxMarginalBytes(*value.marginal);
-}
+      cache_(options.cache_capacity) {}
 
 bool InferenceEngine::cache_enabled() const {
   return cache_enabled_.load(std::memory_order_relaxed);
@@ -97,12 +76,6 @@ bool InferenceEngine::cache_enabled() const {
 
 void InferenceEngine::set_cache_enabled(bool enabled) {
   cache_enabled_.store(enabled, std::memory_order_relaxed);
-}
-
-void InferenceEngine::set_cache_bytes(size_t cache_bytes) {
-  if (!cost_aware_ || cache_bytes == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_.set_capacity(cache_bytes);
 }
 
 void InferenceEngine::ClearCache() {
@@ -118,10 +91,7 @@ InferenceCacheStats InferenceEngine::cache_stats() const {
   stats.hits = hits_;
   stats.misses = misses_;
   stats.evictions = cache_.evictions();
-  stats.rejections = cache_.rejections();
   stats.entries = cache_.size();
-  stats.cost = cache_.total_cost();
-  stats.capacity = cache_.capacity();
   return stats;
 }
 
@@ -139,10 +109,8 @@ Result<double> InferenceEngine::Probability(const Evidence& evidence) const {
   }
   THEMIS_ASSIGN_OR_RETURN(double p, ve_.Probability(evidence));
   if (enabled) {
-    CacheValue value{p, nullptr};
-    const size_t cost = EntryCost(value);
     std::lock_guard<std::mutex> lock(mu_);
-    cache_.Put(key, std::move(value), cost);
+    cache_.Put(key, CacheValue{p, nullptr});
   }
   return p;
 }
@@ -181,10 +149,8 @@ Result<stats::FreqTable> InferenceEngine::Marginal(
   if (!enabled) return ReorderTo(table, targets);
   auto shared = std::make_shared<const stats::FreqTable>(std::move(table));
   {
-    CacheValue value{0.0, shared};
-    const size_t cost = EntryCost(value);
     std::lock_guard<std::mutex> lock(mu_);
-    cache_.Put(key, std::move(value), cost);
+    cache_.Put(key, CacheValue{0.0, shared});
   }
   return ReorderTo(*shared, targets);
 }

@@ -17,26 +17,13 @@ struct InferenceCacheStats {
   size_t hits = 0;
   size_t misses = 0;
   size_t evictions = 0;
-  /// Entries refused admission under a byte budget (entry alone too big).
-  size_t rejections = 0;
   size_t entries = 0;
-  /// Total cost of the resident entries: approximate bytes under a byte
-  /// budget, the entry count otherwise.
-  size_t cost = 0;
-  /// The active bound in the same units as `cost` (0 = unbounded).
-  /// Changes when the catalog rebalances budgets after DropRelation.
-  size_t capacity = 0;
 
   double HitRate() const {
     const size_t total = hits + misses;
     return total == 0 ? 0.0 : static_cast<double>(hits) / total;
   }
 };
-
-/// Approximate in-memory footprint of a memoized marginal: key tuples,
-/// mass doubles, and hash-node overhead per group. The admission cost of
-/// marginal entries under a byte budget.
-size_t ApproxMarginalBytes(const stats::FreqTable& table);
 
 /// The unified inference entry point: wraps VariableElimination with a
 /// thread-safe LRU memo table of computed probabilities and marginals,
@@ -54,16 +41,6 @@ class InferenceEngine {
     bool enable_cache = true;
     /// Maximum number of memoized results; 0 means unbounded.
     size_t cache_capacity = 4096;
-    /// When positive, overrides `cache_capacity` with a cost-aware bound:
-    /// entries are weighted by their approximate bytes (marginal tables by
-    /// ApproxMarginalBytes, probabilities by a small constant), so one
-    /// huge marginal cannot silently displace thousands of cheap entries
-    /// — and is rejected outright if it alone exceeds the budget. Each
-    /// engine serves exactly one model; a core::Catalog splits its
-    /// catalog-wide byte budget evenly across relations before it reaches
-    /// this knob, so the relations' engines divide one admission budget
-    /// (each engine's share is fixed at its relation's build time).
-    size_t cache_bytes = 0;
   };
 
   explicit InferenceEngine(const BayesianNetwork* network);
@@ -84,12 +61,6 @@ class InferenceEngine {
   bool cache_enabled() const;
   void set_cache_enabled(bool enabled);
 
-  /// Rebounds a cost-aware cache in place (no-op for an engine built
-  /// without Options::cache_bytes, or when `cache_bytes` is 0): growing
-  /// keeps every warm entry, shrinking evicts LRU-first. How a catalog
-  /// re-inflates surviving relations' shares after DropRelation.
-  void set_cache_bytes(size_t cache_bytes);
-
   /// Drops every memoized entry and resets the counters.
   void ClearCache();
 
@@ -101,12 +72,8 @@ class InferenceEngine {
     std::shared_ptr<const stats::FreqTable> marginal;  // null for P-entries
   };
 
-  /// Admission cost of one cache entry under the active policy.
-  size_t EntryCost(const CacheValue& value) const;
-
   const BayesianNetwork* network_;
   VariableElimination ve_;
-  bool cost_aware_;  // true when Options::cache_bytes > 0
   /// Atomic so the hot paths snapshot it without taking mu_; a toggle
   /// racing an in-flight call at worst stores into (or skips) the cache
   /// once, which ClearCache() tidies up.

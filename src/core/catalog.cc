@@ -1,6 +1,5 @@
 #include "core/catalog.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "core/query_plan.h"
@@ -68,7 +67,7 @@ Status Catalog::InsertSample(const std::string& name, data::Table sample,
   }
   Relation relation;
   relation.table_name = table_name;
-  relation.base_options =
+  relation.options =
       config.options.has_value() ? std::move(*config.options) : options_;
   relation.pending_aggregates =
       std::make_unique<aggregate::AggregateSet>(sample.schema());
@@ -124,21 +123,9 @@ Status Catalog::Build(const std::string& name) {
     return Status::NotFound("no relation '" + name + "'");
   }
   Relation& relation = it->second;
-  // Split the catalog-wide cache-byte budgets evenly across the relations
-  // registered right now: one relation cannot starve the others' caches.
-  ThemisOptions effective = relation.base_options;
-  const size_t n = std::max<size_t>(1, relations_.size());
-  if (effective.inference_cache_bytes > 0) {
-    effective.inference_cache_bytes =
-        std::max<size_t>(1, effective.inference_cache_bytes / n);
-  }
-  if (effective.result_memo_bytes > 0) {
-    effective.result_memo_bytes =
-        std::max<size_t>(1, effective.result_memo_bytes / n);
-  }
   auto model = ThemisModel::Build(relation.pending_sample->Clone(),
-                                  *relation.pending_aggregates, effective,
-                                  pool_);
+                                  *relation.pending_aggregates,
+                                  relation.options, pool_);
   if (!model.ok()) return model.status();
   relation.model = std::make_unique<ThemisModel>(std::move(model).value());
   relation.evaluator = std::make_unique<HybridEvaluator>(
@@ -173,38 +160,8 @@ Status Catalog::DropRelation(const std::string& name) {
     return Status::NotFound("no relation '" + name + "'");
   }
   relations_.erase(it);
-  // Survivors inherit the dropped relation's cache-byte share right away
-  // — a smaller catalog serves the same budget, not a shrunken one.
-  RebalanceCacheBudgets();
   NotifyMutation(name);
   return Status::OK();
-}
-
-void Catalog::RebalanceCacheBudgets() {
-  if (relations_.empty()) return;
-  const size_t n = relations_.size();
-  for (auto& [name, relation] : relations_) {
-    if (relation.evaluator == nullptr) continue;
-    const ThemisOptions& base = relation.base_options;
-    // Grow-only: a survivor built when the catalog was smaller may hold
-    // more than base/n already (shares are fixed at build time); clamping
-    // it down would evict warm entries mid-serving, which is exactly what
-    // this rebalance exists to avoid. Shrinking happens only through the
-    // relation's own rebuild.
-    const auto grown = [n](size_t budget, size_t current) -> size_t {
-      if (budget == 0) return 0;  // not byte-budgeted: leave untouched
-      return std::max(current, std::max<size_t>(1, budget / n));
-    };
-    const size_t inference_current =
-        relation.evaluator->inference_engine() != nullptr
-            ? relation.evaluator->inference_engine()->cache_stats().capacity
-            : 0;
-    const size_t memo_current =
-        relation.evaluator->result_memo_stats().capacity;
-    relation.evaluator->SetCacheBudgets(
-        grown(base.inference_cache_bytes, inference_current),
-        grown(base.result_memo_bytes, memo_current));
-  }
 }
 
 bool Catalog::Has(const std::string& name) const {

@@ -55,13 +55,8 @@ struct RelationConfig {
 /// the single-sample ThemisDb fronts. Each entry owns its biased sample,
 /// its published aggregates, its learned ThemisModel, and its
 /// HybridEvaluator (with per-relation plan cache, inference cache, and
-/// plan->result memo); every evaluator runs on the catalog's one
-/// util::ThreadPool, and the catalog-wide `inference_cache_bytes` /
-/// `result_memo_bytes` budgets are split evenly across the registered
-/// relations at Build time (each relation's share is fixed when it
-/// builds, so relations added later do not shrink already-built
-/// neighbors' shares until those rebuild; dropping a relation, however,
-/// re-inflates the survivors' shares immediately and in place).
+/// plan->result memo, each bounded per relation); every evaluator runs on
+/// the catalog's one util::ThreadPool.
 ///
 /// Queries route by the FROM table: `Query`/`QueryBatch` resolve the first
 /// FROM identifier against the relation names and dispatch to that
@@ -102,10 +97,7 @@ class Catalog {
                              const std::vector<std::string>& attr_names);
 
   /// (Re)learns the named relation's model and creates a fresh evaluator,
-  /// unconditionally. The catalog-wide cache-byte budgets are split by
-  /// the relation count at this moment; a relation built earlier keeps
-  /// its then-larger share until it rebuilds (see ROADMAP: budget
-  /// rebalancing).
+  /// unconditionally.
   Status Build(const std::string& name);
 
   /// Builds every relation that is not already built (inserting
@@ -246,7 +238,7 @@ class Catalog {
  private:
   struct Relation {
     std::string table_name;
-    ThemisOptions base_options;  // before the shared-budget split
+    ThemisOptions options;  // the override, else the catalog-wide options
     std::unique_ptr<data::Table> pending_sample;
     std::unique_ptr<aggregate::AggregateSet> pending_aggregates;
     std::unique_ptr<ThemisModel> model;
@@ -256,15 +248,6 @@ class Catalog {
   /// The named relation, with precise statuses: NotFound when unknown,
   /// FailedPrecondition when not built.
   Result<const Relation*> FindBuilt(const std::string& name) const;
-
-  /// Re-splits the catalog-wide cache-byte budgets over the relations
-  /// registered right now and applies each built relation's new share in
-  /// place. Grow-only: a survivor already holding more than its new
-  /// share (built when the catalog was smaller) keeps it — warm entries
-  /// are never evicted by someone else's drop; shrinking happens only
-  /// through the relation's own rebuild. Called by DropRelation so
-  /// survivors inherit a dropped neighbor's share immediately.
-  void RebalanceCacheBudgets();
 
   /// The relation name `sql` routes to (its first FROM identifier),
   /// memoized by exact text — the route depends only on the text, never

@@ -8,20 +8,6 @@
 
 namespace themis::core {
 
-size_t ApproxResultBytes(const sql::QueryResult& result) {
-  size_t bytes = sizeof(sql::QueryResult);
-  for (const std::string& name : result.group_names) bytes += name.size();
-  for (const std::string& name : result.value_names) bytes += name.size();
-  for (const sql::ResultRow& row : result.rows) {
-    bytes += sizeof(sql::ResultRow);
-    for (const std::string& label : row.group) {
-      bytes += sizeof(std::string) + label.size();
-    }
-    bytes += row.values.size() * sizeof(double);
-  }
-  return bytes;
-}
-
 HybridEvaluator::HybridEvaluator(const ThemisModel* model,
                                  std::string table_name,
                                  util::ThreadPool* pool,
@@ -50,14 +36,13 @@ HybridEvaluator::HybridEvaluator(const ThemisModel* model,
   if (model_->network() != nullptr) {
     bn::InferenceEngine::Options engine_options;
     engine_options.enable_cache = options.enable_inference_cache;
-    engine_options.cache_capacity = options.inference_cache_capacity;
-    engine_options.cache_bytes = options.inference_cache_bytes;
+    engine_options.cache_capacity = kInferenceCacheCapacity;
     engine_ = std::make_unique<bn::InferenceEngine>(model_->network(),
                                                     engine_options);
   }
   planner_ = std::make_unique<QueryPlanner>(
       model_->reweighted_sample().schema(), has_bn(),
-      options.plan_cache_capacity, relation_);
+      kPlanCacheCapacity, relation_);
   pool_ = util::ResolvePool(pool, options.num_threads, owned_pool_);
   // The environment override resolves once here so the shard layout
   // (which fixes the float summation order) cannot drift mid-run; a
@@ -66,12 +51,6 @@ HybridEvaluator::HybridEvaluator(const ThemisModel* model,
   shard_rows_ = options.shard_rows > 0 ? options.shard_rows
                                        : sql::ShardRowsEnvOverride();
   result_memo_enabled_ = options.enable_result_memo;
-  result_memo_cost_aware_ = options.result_memo_bytes > 0;
-  single_flight_supported_ = options.enable_single_flight;
-  result_memo_ =
-      LruCache<std::string, std::shared_ptr<const sql::QueryResult>>(
-          result_memo_cost_aware_ ? options.result_memo_bytes
-                                  : options.result_memo_capacity);
 }
 
 HybridEvaluator::SampleProbe HybridEvaluator::ProbeSample(
@@ -274,7 +253,7 @@ Result<sql::QueryResult> HybridEvaluator::ExecutePlan(
     key = plan.fingerprint;
     key.push_back('\x1f');
     key.push_back(static_cast<char>('0' + static_cast<int>(mode)));
-    std::shared_ptr<const sql::QueryResult> hit;
+    SharedResult hit;
     {
       std::lock_guard<std::mutex> lock(memo_mu_);
       if (auto cached = result_memo_.Get(key)) {
@@ -286,32 +265,34 @@ Result<sql::QueryResult> HybridEvaluator::ExecutePlan(
     }
     if (hit != nullptr) return *hit;
   }
-  // Compute-and-publish for one uncached execution. Runs under `exec` —
-  // the caller's own token on the direct path, the flight's collective
-  // token under single-flight — and fills the memo on success so the
-  // value outlives the flight.
-  // `executed` flips on whichever request actually ran the compute — a
-  // follower that parked on another request's flight never sets it, so
-  // its trace gets the whole Run() duration as single-flight wait and
-  // (correctly) no execute span at all.
+  // One uncached execution. Runs under `exec` — the caller's own token on
+  // the direct path, the flight's collective token under single-flight.
+  // `executed` flips on whichever request actually ran it — a follower
+  // that parked on another request's flight never sets it, so its trace
+  // gets the whole Run() duration as single-flight wait and (correctly)
+  // no execute span at all.
   bool executed = false;
-  const auto compute =
-      [this, &plan, mode, &key, trace,
-       &executed](const util::CancelToken* exec) -> Result<sql::QueryResult> {
+  const auto execute = [this, &plan, mode, trace,
+                        &executed](const util::CancelToken* exec) {
     executed = true;
     obs::ScopedSpan execute_span(trace, obs::Stage::kExecute);
     if (uncached_execute_hook_) uncached_execute_hook_();
-    auto result = ExecutePlanUncached(plan, mode, exec, trace);
-    if (!key.empty() && result.ok()) {
-      // Two executions racing the same cold plan both compute and publish
-      // the same deterministic answer; the second Put overwrites in place.
-      auto shared = std::make_shared<const sql::QueryResult>(*result);
-      const size_t cost =
-          result_memo_cost_aware_ ? ApproxResultBytes(*shared) : 1;
-      std::lock_guard<std::mutex> lock(memo_mu_);
-      result_memo_.Put(key, std::move(shared), cost);
-    }
-    return result;
+    return ExecutePlanUncached(plan, mode, exec, trace);
+  };
+  if (!memoizable) return execute(cancel);
+  // A memoizable answer moves into one shared, immutable result that the
+  // memo entry and every coalesced follower share; each caller then makes
+  // the one by-value copy it returns.
+  const auto compute =
+      [this, &key, &execute](
+          const util::CancelToken* exec) -> Result<SharedResult> {
+    THEMIS_ASSIGN_OR_RETURN(sql::QueryResult result, execute(exec));
+    auto shared = std::make_shared<const sql::QueryResult>(std::move(result));
+    // Two executions racing the same cold plan both compute and publish
+    // the same deterministic answer; the second Put overwrites in place.
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    result_memo_.Put(key, shared);
+    return shared;
   };
   // Single-flight closes the window the memo cannot: a thundering herd of
   // identical requests arriving before the first completes. The herd's
@@ -319,17 +300,16 @@ Result<sql::QueryResult> HybridEvaluator::ExecutePlan(
   // share the value; followers whose own deadline fires detach without
   // cancelling the leader, and a cancelled leader's execution survives as
   // long as a follower still wants it (see util/single_flight.h).
-  if (memoizable && coalescing_enabled()) {
-    if (trace == nullptr) return flights_.Run(key, cancel, compute);
-    const int64_t run_begin_ns = util::SteadyNowNs();
-    auto result = flights_.Run(key, cancel, compute);
-    if (!executed) {
-      trace->RecordSpan(obs::Stage::kSingleFlightWait, run_begin_ns,
-                        util::SteadyNowNs());
-    }
-    return result;
+  const int64_t run_begin_ns = trace != nullptr ? util::SteadyNowNs() : 0;
+  const Result<SharedResult> shared = coalescing_enabled()
+                                          ? flights_.Run(key, cancel, compute)
+                                          : compute(cancel);
+  if (trace != nullptr && !executed) {
+    trace->RecordSpan(obs::Stage::kSingleFlightWait, run_begin_ns,
+                      util::SteadyNowNs());
   }
-  return compute(cancel);
+  if (!shared.ok()) return shared.status();
+  return **shared;
 }
 
 sql::ExecutorStats HybridEvaluator::executor_stats() const {
@@ -346,24 +326,12 @@ ResultMemoStats HybridEvaluator::result_memo_stats() const {
     stats.misses = memo_misses_;
     stats.entries = result_memo_.size();
     stats.evictions = result_memo_.evictions();
-    stats.rejections = result_memo_.rejections();
-    stats.cost = result_memo_.total_cost();
-    stats.capacity = result_memo_.capacity();
   }
   const util::SingleFlightStats flights = flights_.stats();
   stats.coalesced_flights = flights.flights;
   stats.coalesced_hits = flights.followers;
   stats.coalesced_detached = flights.detached;
   return stats;
-}
-
-void HybridEvaluator::SetCacheBudgets(size_t inference_cache_bytes,
-                                      size_t result_memo_bytes) {
-  if (engine_ != nullptr) engine_->set_cache_bytes(inference_cache_bytes);
-  if (result_memo_cost_aware_ && result_memo_bytes > 0) {
-    std::lock_guard<std::mutex> lock(memo_mu_);
-    result_memo_.set_capacity(result_memo_bytes);
-  }
 }
 
 void HybridEvaluator::ClearResultMemo() const {

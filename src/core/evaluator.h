@@ -38,15 +38,6 @@ struct ResultMemoStats {
   size_t entries = 0;
   /// Entries dropped by the LRU bound since the evaluator was built.
   size_t evictions = 0;
-  /// Entries refused admission because their cost alone exceeded the
-  /// capacity (only possible under a `result_memo_bytes` budget).
-  size_t rejections = 0;
-  /// Total cost of the resident entries: approximate bytes under a byte
-  /// budget, the entry count otherwise.
-  size_t cost = 0;
-  /// The active bound in the same units as `cost` (0 = unbounded).
-  /// Changes when the catalog rebalances budgets after DropRelation.
-  size_t capacity = 0;
   /// Single-flight coalescing companions (see util/single_flight.h):
   /// distinct in-flight executions led, requests that attached to an
   /// already-running execution instead of re-executing, and followers
@@ -60,11 +51,6 @@ struct ResultMemoStats {
     return total == 0 ? 0.0 : static_cast<double>(hits) / total;
   }
 };
-
-/// Approximate in-memory footprint of a memoized query result: rows,
-/// group-label strings, and value doubles. The admission cost of result
-/// entries under a `result_memo_bytes` budget.
-size_t ApproxResultBytes(const sql::QueryResult& result);
 
 /// Themis's hybrid query evaluator (Sec 4.3), structured as a plan-based
 /// engine: SQL text -> QueryPlanner (cached logical plan) -> ExecutePlan
@@ -106,6 +92,13 @@ size_t ApproxResultBytes(const sql::QueryResult& result);
 /// result memo carry their own locks.
 class HybridEvaluator {
  public:
+  /// LRU entry bounds of the per-evaluator caches: logical plans by
+  /// normalized SQL text, memoized query results, and memoized BN
+  /// inference answers.
+  static constexpr size_t kPlanCacheCapacity = 256;
+  static constexpr size_t kResultMemoCapacity = 256;
+  static constexpr size_t kInferenceCacheCapacity = 4096;
+
   /// `model` must outlive the evaluator. `table_name` is the name the
   /// sample is registered under for SQL queries. Cache and pool knobs come
   /// from the model's ThemisOptions; a non-null `pool` overrides the
@@ -196,17 +189,16 @@ class HybridEvaluator {
   /// the evaluator on rebuild).
   void ClearResultMemo() const;
 
-  /// Run-time toggle for single-flight coalescing (effective only when
-  /// ThemisOptions::enable_single_flight was set at build). Const-qualified
-  /// like ClearResultMemo so serving/bench code reaching the evaluator
-  /// through the catalog's const surface can flip it between runs; answers
-  /// are bitwise identical either way.
+  /// Run-time toggle for single-flight coalescing (on by default; the
+  /// serving bench turns it off to measure the uncoalesced baseline).
+  /// Const-qualified like ClearResultMemo so serving/bench code reaching
+  /// the evaluator through the catalog's const surface can flip it
+  /// between runs; answers are bitwise identical either way.
   void set_coalescing_enabled(bool enabled) const {
     coalescing_enabled_.store(enabled, std::memory_order_relaxed);
   }
   bool coalescing_enabled() const {
-    return single_flight_supported_ &&
-           coalescing_enabled_.load(std::memory_order_relaxed);
+    return coalescing_enabled_.load(std::memory_order_relaxed);
   }
 
   /// Test-only: runs at the start of every *uncached* plan execution on
@@ -217,15 +209,6 @@ class HybridEvaluator {
   void set_uncached_execute_hook(std::function<void()> hook) const {
     uncached_execute_hook_ = std::move(hook);
   }
-
-  /// Rebounds the byte-budgeted caches in place — the inference cache to
-  /// `inference_cache_bytes`, the result memo to `result_memo_bytes` —
-  /// keeping warm entries when growing, evicting LRU-first when
-  /// shrinking. Either value 0 leaves that cache untouched, as does a
-  /// cache not built under a byte budget. How the catalog re-inflates
-  /// surviving relations' shares when a neighbor is dropped.
-  void SetCacheBudgets(size_t inference_cache_bytes,
-                       size_t result_memo_bytes);
 
  private:
   /// Whether some sample row matches a point key, and the Σ weight of the
@@ -271,16 +254,15 @@ class HybridEvaluator {
   util::ThreadPool* pool_;
   size_t shard_rows_;  // ThemisOptions::shard_rows, resolved at build
   bool result_memo_enabled_;
-  bool result_memo_cost_aware_;  // true when options.result_memo_bytes > 0
-  /// ThemisOptions::enable_single_flight at build; the atomic is the
-  /// run-time toggle layered on top (see set_coalescing_enabled).
-  bool single_flight_supported_;
   mutable std::atomic<bool> coalescing_enabled_{true};
-  mutable util::SingleFlight<Result<sql::QueryResult>> flights_;
+  /// One memoized execution's answer, shared by the memo entry and the
+  /// flight's followers; ExecutePlan copies it out once per caller.
+  using SharedResult = std::shared_ptr<const sql::QueryResult>;
+  mutable util::SingleFlight<Result<SharedResult>> flights_;
   mutable std::function<void()> uncached_execute_hook_;
   mutable std::mutex memo_mu_;
-  mutable LruCache<std::string, std::shared_ptr<const sql::QueryResult>>
-      result_memo_;
+  mutable LruCache<std::string, SharedResult> result_memo_{
+      kResultMemoCapacity};
   mutable size_t memo_hits_ = 0;
   mutable size_t memo_misses_ = 0;
 };

@@ -37,8 +37,8 @@ Status Reweight(const ThemisOptions& options,
       return reweight::UniformReweighter().Reweight(sample, aggregates,
                                                     population_size);
     case ReweightMethod::kLinReg:
-      return reweight::LinRegReweighter(options.nnls)
-          .Reweight(sample, aggregates, population_size);
+      return reweight::LinRegReweighter().Reweight(sample, aggregates,
+                                                   population_size);
     case ReweightMethod::kIpf: {
       reweight::IpfReweighter rw(options.ipf);
       THEMIS_RETURN_IF_ERROR(

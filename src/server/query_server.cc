@@ -83,7 +83,7 @@ struct QueryServer::PendingResponse {
   /// Monotonic stamp of the admission decision; with the pool task's
   /// start it bounds the kQueueWait span.
   int64_t admitted_ns = 0;
-  /// Non-null when this request is traced (sampled or slow-query mode);
+  /// Non-null when this request is traced (sampled by trace_sample_n);
   /// owned here so the trace lives exactly as long as the request.
   std::unique_ptr<obs::TraceContext> trace;
 };
@@ -161,28 +161,13 @@ QueryServer::QueryServer(const core::Catalog* catalog)
     : QueryServer(catalog, Options()) {}
 
 QueryServer::QueryServer(const core::Catalog* catalog, Options options)
-    : catalog_(catalog), options_(std::move(options)) {
-  max_inflight_ = options_.max_inflight > 0
-                      ? options_.max_inflight
-                      : catalog_->options().max_inflight;
-  trace_sample_n_ = options_.trace_sample_n > 0
-                        ? options_.trace_sample_n
-                        : catalog_->options().trace_sample_n;
-  slow_query_ms_ = options_.slow_query_ms > 0 ? options_.slow_query_ms
-                                              : catalog_->options().slow_query_ms;
-  const size_t slow_log_k = options_.slow_query_log_k > 0
-                                ? options_.slow_query_log_k
-                                : catalog_->options().slow_query_log_k;
-  metrics_ = std::make_unique<obs::ServingMetrics>(slow_log_k);
-  const bool cache_enabled =
-      options_.enable_response_cache.has_value()
-          ? *options_.enable_response_cache
-          : catalog_->options().enable_response_cache;
-  if (cache_enabled) {
-    const size_t cache_bytes = options_.response_cache_bytes > 0
-                                   ? options_.response_cache_bytes
-                                   : catalog_->options().response_cache_bytes;
-    response_cache_ = std::make_unique<ResponseCache>(cache_bytes);
+    : catalog_(catalog),
+      options_(std::move(options)),
+      max_inflight_(catalog_->options().max_inflight) {
+  metrics_ = std::make_unique<obs::ServingMetrics>(options_.slow_query_log_k);
+  if (options_.enable_response_cache) {
+    response_cache_ = std::make_unique<ResponseCache>(
+        catalog_->options().response_cache_bytes);
   }
 }
 
@@ -231,8 +216,6 @@ Status QueryServer::Start() {
 
   num_io_threads_ =
       options_.io_threads > 0 ? options_.io_threads : DefaultIoThreads();
-  default_deadline_ms_ =
-      std::min(catalog_->options().default_deadline_ms, kMaxDeadlineMs);
 
   io_.reserve(num_io_threads_);
   for (size_t i = 0; i < num_io_threads_; ++i) {
@@ -276,8 +259,8 @@ Status QueryServer::Start() {
   }
   THEMIS_LOG(Info) << "query server listening on 127.0.0.1:" << port_
                    << " (" << num_io_threads_ << " io threads, max_inflight "
-                   << max_inflight_ << ", trace_sample_n " << trace_sample_n_
-                   << ", slow_query_ms " << slow_query_ms_ << ")";
+                   << max_inflight_ << ", trace_sample_n "
+                   << options_.trace_sample_n << ")";
   return Status::OK();
 }
 
@@ -639,10 +622,10 @@ void QueryServer::HandleLine(IoThread& io, Session& session,
   };
 
   // One clock read per request line: the base of the always-on end-to-end
-  // latency histogram. When any tracing is possible it also anchors the
-  // kParse span; with tracing fully off no further clocks are read here.
+  // latency histogram. When tracing is on it also anchors the kParse
+  // span; with tracing off no further clocks are read here.
   const int64_t received_ns = util::SteadyNowNs();
-  const bool trace_possible = trace_sample_n_ > 0 || slow_query_ms_ > 0;
+  const bool trace_possible = options_.trace_sample_n > 0;
 
   auto request = ParseRequest(line);
   const int64_t parse_end_ns = trace_possible ? util::SteadyNowNs() : 0;
@@ -738,11 +721,9 @@ void QueryServer::HandleLine(IoThread& io, Session& session,
 
   // The deadline budget starts now, at admission — queue time on the pool
   // counts against it.
-  const uint64_t deadline_ms =
-      request->deadline_ms > 0 ? request->deadline_ms : default_deadline_ms_;
   auto slot = std::make_shared<PendingResponse>();
   slot->cancel = std::make_shared<util::CancelToken>(
-      std::min(deadline_ms, kMaxDeadlineMs));
+      std::min(request->deadline_ms, kMaxDeadlineMs));
   slot->received_ns = received_ns;
   // Seed the slot with a recycled encode buffer: the uncached response
   // path encodes into capacity a previous response already grew.
@@ -752,14 +733,10 @@ void QueryServer::HandleLine(IoThread& io, Session& session,
   }
 
   // Sampling decision, after admission so rejected requests never burn a
-  // sampling slot: every Nth admitted request when trace_sample_n is set,
-  // every request when a slow-query threshold is armed (the trace is the
-  // only way to know after the fact that a request was slow).
+  // sampling slot: every Nth admitted request.
   if (trace_possible) {
     const uint64_t seq = request_seq_.fetch_add(1, std::memory_order_relaxed);
-    const bool sampled =
-        trace_sample_n_ > 0 && seq % trace_sample_n_ == 0;
-    if (sampled || slow_query_ms_ > 0) {
+    if (seq % options_.trace_sample_n == 0) {
       slot->trace = std::make_unique<obs::TraceContext>(received_ns);
       slot->trace->RecordSpan(obs::Stage::kParse, received_ns, parse_end_ns);
       slot->trace->RecordSpan(obs::Stage::kAdmission, parse_end_ns,
@@ -1107,23 +1084,10 @@ void QueryServer::RecordRequestDone(PendingResponse& slot, int64_t end_ns) {
     if (trace->StageCount(stage) == 0) continue;
     metrics_->stage_latency[i].Record(trace->StageTotalNs(stage));
   }
-  // With a slow-query threshold armed, only requests at or over it enter
-  // the log (and warn); pure sampling mode logs every sampled trace so
-  // the log always holds the worst of what was observed.
-  const bool slow =
-      slow_query_ms_ > 0 &&
-      total_ns >= static_cast<int64_t>(slow_query_ms_) * 1'000'000;
-  if (slow_query_ms_ > 0 && !slow) return;
+  // Every sampled trace is offered to the worst-K log, so the log always
+  // holds the worst of what was observed.
   if (metrics_->slow_log.capacity() == 0) return;
-  obs::SlowQueryEntry entry = trace->Finish(total_ns);
-  if (slow) {
-    THEMIS_LOG(Warning) << "slow query: " << total_ns / 1'000'000
-                        << " ms (threshold " << slow_query_ms_
-                        << " ms), relation '" << entry.relation
-                        << "', status " << entry.status << ", sql: "
-                        << entry.sql;
-  }
-  metrics_->slow_log.Offer(std::move(entry));
+  metrics_->slow_log.Offer(trace->Finish(total_ns));
 }
 
 std::string QueryServer::ExecuteStats() {

@@ -7,7 +7,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,7 +46,7 @@ HostStats HostStatsNow();
 /// never reorder.
 ///
 /// Deadlines and cancellation: a request's `deadline_ms` wire field (or,
-/// absent that, ThemisOptions::default_deadline_ms) starts its budget at
+/// absent that, its session's `set` default) starts its budget at
 /// admission; the serving layer threads a util::CancelToken through
 /// Catalog::Query into the executor shard loops, so an expired request
 /// unwinds cooperatively and answers kDeadlineExceeded instead of
@@ -56,10 +55,10 @@ HostStats HostStatsNow();
 /// queries never return partial aggregates — a token that does not fire
 /// leaves the answer bitwise identical to the in-process Query().
 ///
-/// Admission control: at most `max_inflight` requests may be queued or
-/// executing on the pool across all connections; beyond that, requests
-/// are rejected immediately with ResourceExhausted instead of queueing
-/// without bound. The STATS verb bypasses admission (it answers inline
+/// Admission control: at most ThemisOptions::max_inflight requests may be
+/// queued or executing on the pool across all connections; beyond that,
+/// requests are rejected immediately with ResourceExhausted instead of
+/// queueing without bound. The STATS verb bypasses admission (it answers inline
 /// from counters on the I/O thread) so overload stays observable while
 /// it is happening.
 ///
@@ -74,13 +73,13 @@ HostStats HostStatsNow();
 /// same contract as Catalog's concurrent const use.
 class QueryServer {
  public:
+  /// Per-server settings. The catalog-wide serving bounds —
+  /// ThemisOptions::max_inflight and ThemisOptions::response_cache_bytes —
+  /// are read from the catalog and have no copy here.
   struct Options {
     /// TCP port to listen on (loopback only); 0 picks an ephemeral port —
     /// read the chosen one from port() after Start().
     uint16_t port = 0;
-
-    /// Overrides ThemisOptions::max_inflight when positive.
-    size_t max_inflight = 0;
 
     /// Epoll event-loop threads; 0 resolves to
     /// max(1, min(4, hardware_concurrency / 4)) — the I/O side needs few
@@ -102,23 +101,25 @@ class QueryServer {
     /// stays bounded.
     size_t micro_batch_max = 64;
 
-    /// Response byte cache overrides: `enable_response_cache` toggles it
-    /// regardless of ThemisOptions::enable_response_cache when set (the
-    /// serving bench measures its cache-off baseline through this);
-    /// `response_cache_bytes` overrides the catalog's byte budget when
-    /// positive.
-    std::optional<bool> enable_response_cache;
-    size_t response_cache_bytes = 0;
+    /// Wire-level response byte cache: the fully encoded one-line payload
+    /// of memoizable OK answers, keyed by (relation, plan fingerprint,
+    /// mode), serves repeats straight from the cached bytes on the I/O
+    /// thread — zero JSON encoding, zero pool handoff. Invalidated
+    /// alongside the result memo by Insert*/Build/DropRelation; served
+    /// bytes are always bitwise identical to a fresh encode. Bounded by
+    /// ThemisOptions::response_cache_bytes.
+    bool enable_response_cache = true;
 
-    /// Tracing overrides (each overrides its ThemisOptions counterpart
-    /// when positive, like max_inflight above — so tests can turn tracing
-    /// on without rebuilding the catalog). trace_sample_n traces every Nth
-    /// admitted request; slow_query_ms additionally traces *every* request
-    /// and logs the ones at or over the threshold; slow_query_log_k sizes
-    /// the bounded worst-K slow-query log.
+    /// Request-trace sampling: trace every Nth admitted request (per-stage
+    /// span timings feeding the METRICS stage histograms and the
+    /// slow-query log). 0 disables sampling; the always-on end-to-end
+    /// request-latency histogram is unaffected. Untraced requests pay a
+    /// single null-pointer check per recording site.
     size_t trace_sample_n = 0;
-    uint64_t slow_query_ms = 0;
-    size_t slow_query_log_k = 0;
+
+    /// Capacity K of the bounded slow-query log: the K worst sampled
+    /// traces by end-to-end latency, surfaced via STATS. 0 disables it.
+    size_t slow_query_log_k = 32;
 
     /// Test-only: runs inside every admitted pool task (single request or
     /// micro-batch) before the query executes. Lets tests hold slots open
@@ -251,11 +252,6 @@ class QueryServer {
   Options options_;
   size_t max_inflight_ = 0;
   size_t num_io_threads_ = 0;
-  /// ThemisOptions::default_deadline_ms, latched at Start().
-  uint64_t default_deadline_ms_ = 0;
-  /// Resolved tracing config (Options override or ThemisOptions).
-  size_t trace_sample_n_ = 0;
-  uint64_t slow_query_ms_ = 0;
   /// Heap-held so the (deleted-copy) histograms don't constrain the class.
   std::unique_ptr<obs::ServingMetrics> metrics_;
   /// Wire-level response byte cache; null when disabled. Invalidated by

@@ -445,17 +445,12 @@ HostStats HostStatsFromJson(const JsonValue& json) {
 }
 
 JsonValue CacheCountersToJson(size_t hits, size_t misses, size_t evictions,
-                              size_t rejections, size_t entries, size_t cost,
-                              size_t capacity) {
+                              size_t entries) {
   JsonValue object = JsonValue::Object();
   object.Set("hits", JsonValue::Number(static_cast<double>(hits)));
   object.Set("misses", JsonValue::Number(static_cast<double>(misses)));
   object.Set("evictions", JsonValue::Number(static_cast<double>(evictions)));
-  object.Set("rejections",
-             JsonValue::Number(static_cast<double>(rejections)));
   object.Set("entries", JsonValue::Number(static_cast<double>(entries)));
-  object.Set("cost", JsonValue::Number(static_cast<double>(cost)));
-  object.Set("capacity", JsonValue::Number(static_cast<double>(capacity)));
   return object;
 }
 
@@ -471,14 +466,10 @@ JsonValue RelationStatsToJson(const core::RelationStats& stats) {
   const bn::InferenceCacheStats& inference = stats.inference_cache;
   object.Set("inference_cache",
              CacheCountersToJson(inference.hits, inference.misses,
-                                 inference.evictions, inference.rejections,
-                                 inference.entries, inference.cost,
-                                 inference.capacity));
+                                 inference.evictions, inference.entries));
   const core::ResultMemoStats& memo = stats.result_memo;
-  JsonValue memo_json =
-      CacheCountersToJson(memo.hits, memo.misses, memo.evictions,
-                          memo.rejections, memo.entries, memo.cost,
-                          memo.capacity);
+  JsonValue memo_json = CacheCountersToJson(memo.hits, memo.misses,
+                                            memo.evictions, memo.entries);
   // The memo's single-flight companions: executions led, requests that
   // attached to an in-flight execution, early-detached followers.
   memo_json.Set("coalesced_flights",
@@ -521,19 +512,13 @@ core::RelationStats RelationStatsFromJson(const JsonValue& json) {
     stats.inference_cache.hits = CounterFrom(*inference, "hits");
     stats.inference_cache.misses = CounterFrom(*inference, "misses");
     stats.inference_cache.evictions = CounterFrom(*inference, "evictions");
-    stats.inference_cache.rejections = CounterFrom(*inference, "rejections");
     stats.inference_cache.entries = CounterFrom(*inference, "entries");
-    stats.inference_cache.cost = CounterFrom(*inference, "cost");
-    stats.inference_cache.capacity = CounterFrom(*inference, "capacity");
   }
   if (const JsonValue* memo = json.Find("result_memo")) {
     stats.result_memo.hits = CounterFrom(*memo, "hits");
     stats.result_memo.misses = CounterFrom(*memo, "misses");
     stats.result_memo.evictions = CounterFrom(*memo, "evictions");
-    stats.result_memo.rejections = CounterFrom(*memo, "rejections");
     stats.result_memo.entries = CounterFrom(*memo, "entries");
-    stats.result_memo.cost = CounterFrom(*memo, "cost");
-    stats.result_memo.capacity = CounterFrom(*memo, "capacity");
     stats.result_memo.coalesced_flights =
         CounterFrom(*memo, "coalesced_flights");
     stats.result_memo.coalesced_hits = CounterFrom(*memo, "coalesced_hits");

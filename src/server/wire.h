@@ -94,13 +94,14 @@ inline constexpr uint64_t kMaxDeadlineMs = 365ull * 24 * 60 * 60 * 1000;
 /// other fields ("metrics" answers the Prometheus text exposition).
 /// `deadline_ms` (optional, query/batch) is the request's execution
 /// budget in milliseconds from admission; 0 or absent defers to the
-/// server's ThemisOptions::default_deadline_ms.
+/// session default (see "set"), and without one the request runs
+/// unbounded.
 ///
 /// "set" installs per-session defaults, answered inline with
 /// {"status":"OK"}: `default_mode` is the AnswerMode applied to this
 /// session's later query/batch requests that carry no explicit `mode`,
 /// and `default_deadline_ms` likewise for `deadline_ms` (its 0 clears
-/// the session default back to the server's). Either field may be
+/// the session default: no deadline). Either field may be
 /// omitted; the other is left unchanged.
 struct WireRequest {
   enum class Verb { kQuery, kBatch, kStats, kMetrics, kSet };
@@ -109,12 +110,12 @@ struct WireRequest {
   std::vector<std::string> batch;  // kBatch
   std::string relation;            // kQuery only; empty = FROM-routed
   core::AnswerMode mode = core::AnswerMode::kHybrid;
-  /// 0 = no per-request deadline (server default applies, if any).
+  /// 0 = no per-request deadline (the session default applies, if any).
   uint64_t deadline_ms = 0;
   /// Whether the wire line carried the field explicitly ("mode" /
   /// "deadline_ms"; for kSet, "default_mode" / "default_deadline_ms" —
   /// which ride in `mode` / `deadline_ms` above). An absent field falls
-  /// back to the session default, then the server default.
+  /// back to the session default.
   bool has_mode = false;
   bool has_deadline = false;
 };

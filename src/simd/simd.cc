@@ -90,7 +90,6 @@ const char* BackendName(Backend backend) {
     case Backend::kScalar: return "scalar";
     case Backend::kSse4: return "sse4";
     case Backend::kAvx2: return "avx2";
-    case Backend::kNeon: return "neon";
   }
   return "scalar";
 }
@@ -112,8 +111,6 @@ bool Supported(Backend backend) {
 #else
       return false;
 #endif
-    case Backend::kNeon:
-      return NeonKernelsOrNull() != nullptr;
   }
   return false;
 }
@@ -121,7 +118,6 @@ bool Supported(Backend backend) {
 Backend BestSupported() {
   if (Supported(Backend::kAvx2)) return Backend::kAvx2;
   if (Supported(Backend::kSse4)) return Backend::kSse4;
-  if (Supported(Backend::kNeon)) return Backend::kNeon;
   return Backend::kScalar;
 }
 
@@ -135,7 +131,6 @@ Backend ParseBackend(const char* name, bool* ok) {
   if (lower == "scalar") return Backend::kScalar;
   if (lower == "sse4") return Backend::kSse4;
   if (lower == "avx2") return Backend::kAvx2;
-  if (lower == "neon") return Backend::kNeon;
   if (ok != nullptr) *ok = lower.empty() || lower == "auto";
   return BestSupported();
 }
@@ -156,7 +151,6 @@ const Kernels& KernelsFor(Backend backend) {
         case Backend::kScalar: return kScalarKernels;
         case Backend::kSse4: return *Sse4KernelsOrNull();
         case Backend::kAvx2: return *Avx2KernelsOrNull();
-        case Backend::kNeon: return *NeonKernelsOrNull();
       }
     }
     switch (backend) {

@@ -8,8 +8,8 @@ namespace themis::simd {
 
 /// The instruction-set backends the kernel layer can run on. Exactly one
 /// is selected per consumer (dispatch-by-capability: AVX2 > SSE4 > scalar
-/// on x86, NEON > scalar on AArch64), overridable with THEMIS_SIMD.
-enum class Backend { kScalar = 0, kSse4 = 1, kAvx2 = 2, kNeon = 3 };
+/// on x86, scalar elsewhere), overridable with THEMIS_SIMD.
+enum class Backend { kScalar = 0, kSse4 = 1, kAvx2 = 2 };
 
 /// FilterScan/FilterCompact may read up to this many bytes past
 /// match[domain_size - 1] (the AVX2 path gathers 32-bit lanes from the
@@ -69,7 +69,7 @@ struct Kernels {
                         const double* table, size_t n, double* out);
 };
 
-/// Wire/log name of a backend: "scalar", "sse4", "avx2", "neon".
+/// Wire/log name of a backend: "scalar", "sse4", "avx2".
 const char* BackendName(Backend backend);
 
 /// True when the host CPU can execute `backend` (scalar always can).
@@ -78,14 +78,14 @@ bool Supported(Backend backend);
 /// The most capable backend the host supports.
 Backend BestSupported();
 
-/// Parses "auto" / "scalar" / "sse4" / "avx2" / "neon" (case-insensitive).
+/// Parses "auto" / "scalar" / "sse4" / "avx2" (case-insensitive).
 /// "auto", empty, and unknown names resolve to BestSupported(); `ok` (when
 /// non-null) reports whether the name was recognized.
 Backend ParseBackend(const char* name, bool* ok = nullptr);
 
 /// Resolves the THEMIS_SIMD environment variable (unset = "auto") to a
 /// supported backend. A request the host cannot execute degrades to the
-/// nearest supported backend (avx2 -> sse4 -> scalar, neon -> scalar).
+/// nearest supported backend (avx2 -> sse4 -> scalar).
 /// Callers snapshot this once (the Executor does so at construction, like
 /// THEMIS_SHARD_ROWS) so a mid-run setenv cannot change live kernels.
 Backend FromEnv();
@@ -102,7 +102,6 @@ const Kernels& KernelsFor(Backend backend);
 const Kernels& ScalarKernels();
 const Kernels* Sse4KernelsOrNull();
 const Kernels* Avx2KernelsOrNull();
-const Kernels* NeonKernelsOrNull();
 
 }  // namespace themis::simd
 

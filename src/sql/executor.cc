@@ -1408,26 +1408,6 @@ CodedResult ExecuteVectorized(const BoundQuery& q, const simd::Kernels& k,
   return ExecuteWorlds<WideGroups>(cq, pool, kShardRows, stats, cancel);
 }
 
-/// Re-encodes a reference-path answer (labels) as a one-world
-/// CodedResult.
-CodedResult EncodeResult(const QueryResult& result, const BoundQuery& q) {
-  CodedResult out;
-  out.group_names = result.group_names;
-  out.value_names = result.value_names;
-  for (const BoundColumn& gc : q.group_columns) {
-    out.group_domains.push_back(
-        &q.tables[gc.table].table->schema()->domain(gc.attr));
-  }
-  std::vector<data::ValueCode> key(out.group_domains.size());
-  for (const ResultRow& row : result.rows) {
-    for (size_t j = 0; j < key.size(); ++j) {
-      key[j] = *out.group_domains[j]->Code(row.group[j]);
-    }
-    out.AddGroup(key, row.values);
-  }
-  return out;
-}
-
 }  // namespace
 
 size_t AutoShardTargetBytes() {
@@ -1607,30 +1587,13 @@ Result<CodedResult> Executor::ExecuteCoded(const SelectStatement& stmt,
       ResolvedShardRowsFor(q, shard_rows, env_shard_rows_);
   // Row ids travel as uint32 through selection vectors and build tables,
   // and the AVX2 gathers index with *signed* 32-bit lanes, so rows must
-  // stay below 2^31; a one-world table beyond that (not reachable with
-  // in-memory samples) takes the reference path, which carries size_t
-  // rows. That path doesn't observe per-filter/join flow, so only the
-  // coarse counters update.
+  // stay below 2^31 (not reachable with in-memory samples).
   for (const BoundTable& bt : q.tables) {
     for (const TableSource& world : bt.worlds) {
-      if (world.table->num_rows() <=
+      if (world.table->num_rows() >
           static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
-        continue;
+        return Status::Unimplemented("tables are limited to 2^31 rows");
       }
-      if (bt.worlds.size() != 1) {
-        return Status::Unimplemented(
-            "multi-world relations are limited to 2^31 rows per table");
-      }
-      obs::ScopedSpan span(trace, obs::Stage::kExecutorScan);
-      QueryResult wide = ExecuteRowAtATime(q, pool, kShardRows);
-      uint64_t scanned = 0;
-      for (const BoundTable& scanned_table : q.tables) {
-        scanned += scanned_table.table->num_rows();
-      }
-      counters_->rows_scanned.fetch_add(scanned, std::memory_order_relaxed);
-      counters_->groups_emitted.fetch_add(wide.rows.size(),
-                                          std::memory_order_relaxed);
-      return EncodeResult(wide, q);
     }
   }
   ExecutorStats local;

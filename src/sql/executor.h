@@ -127,10 +127,9 @@ size_t ResolveShardRows(size_t requested, size_t bytes_per_row = 0);
 /// Live counters of one Executor, aggregated over every query it has run
 /// (all answer modes funnel through here, so these are the system-wide
 /// scan-path counters surfaced by Catalog::Stats() and the server's
-/// STATS verb). Queries on tables beyond uint32 rows fall back to the
-/// reference path and update only rows_scanned and groups_emitted.
+/// STATS verb).
 struct ExecutorStats {
-  /// Active SIMD kernel backend ("scalar" / "sse4" / "avx2" / "neon"),
+  /// Active SIMD kernel backend ("scalar" / "sse4" / "avx2"),
   /// resolved once at Executor construction (simd::FromEnv). Summing
   /// stats keeps the first non-empty name — every executor in a process
   /// resolves the same backend unless THEMIS_SIMD changed between
@@ -200,7 +199,7 @@ struct TableSource {
 /// The integer inner loops (filter compare + compact, group/join key
 /// gather + pack, code translation, weight/numeric gathers) run on the
 /// simd::Kernels backend resolved once at construction from THEMIS_SIMD
-/// (default: most capable of AVX2 / SSE4 / NEON the host supports). The
+/// (default: AVX2, else SSE4, else scalar, by host support). The
 /// kernels move integers and copy doubles only — all float arithmetic
 /// stays scalar, in row order — so the SIMD and scalar backends are
 /// bitwise identical by construction; executor_diff_test proves it.
@@ -259,7 +258,8 @@ class Executor {
   /// kCancelled / kDeadlineExceeded status instead of a partial answer.
   /// Completed answers are unaffected — a token that never fires leaves
   /// the execution (and its bitwise result) identical to passing nullptr.
-  /// Requires one-world relations.
+  /// Requires one-world relations; a table of 2^31 rows or more answers
+  /// Unimplemented (row ids are 32-bit).
   Result<QueryResult> Execute(const SelectStatement& stmt,
                               util::ThreadPool* pool = nullptr,
                               size_t shard_rows = 0,

@@ -10,13 +10,14 @@
 namespace themis {
 
 /// Least-recently-used map with an optional capacity bound (0 = unbounded).
-/// Backs the inference-engine memo table, the SQL plan cache, and the
-/// plan->result memo. Not thread-safe: callers that share an instance
-/// across threads hold their own lock around Get/Put.
+/// Backs the inference-engine memo table, the SQL plan cache, the
+/// plan->result memo, and the server's response byte cache. Not
+/// thread-safe: callers that share an instance across threads hold their
+/// own lock around Get/Put.
 ///
 /// Capacity is expressed in *cost units*: with the default Put cost of 1
-/// the bound is an entry count; callers that pass per-entry costs (e.g.
-/// approximate bytes of a marginal table) get cost-aware admission —
+/// the bound is an entry count; callers that pass per-entry costs (the
+/// response byte cache weighs payload bytes) get cost-aware admission —
 /// eviction frees enough total cost, and an entry costlier than the whole
 /// capacity is rejected outright instead of wiping the cache.
 template <typename K, typename V, typename Hash = std::hash<K>>
@@ -57,16 +58,6 @@ class LruCache {
 
   size_t size() const { return order_.size(); }
   size_t capacity() const { return capacity_; }
-
-  /// Rebounds the cache in place: growing keeps every resident entry,
-  /// shrinking evicts least-recently-used entries until the new bound
-  /// holds (counted in evictions()). Lets a catalog re-inflate surviving
-  /// relations' cache shares when a neighbor is dropped, without losing
-  /// the warm entries.
-  void set_capacity(size_t capacity) {
-    capacity_ = capacity;
-    EvictToCapacity();
-  }
 
   /// Sum of the admitted entries' costs (= size() under unit costs).
   size_t total_cost() const { return total_cost_; }

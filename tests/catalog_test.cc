@@ -412,10 +412,25 @@ TEST_F(CatalogTest, DropAndRebuildInvalidateBothMemos) {
   ASSERT_TRUE(after.ok());
 
   // Dropping removes the relation outright; re-inserting starts fresh.
+  const size_t flights_hits =
+      db.evaluator("flights")->result_memo_stats().hits;
   ASSERT_TRUE(db.DropRelation("shops").ok());
   EXPECT_FALSE(db.catalog().Has("shops"));
   EXPECT_EQ(db.Query(shops_sql).status().code(), StatusCode::kNotFound);
-  EXPECT_TRUE(db.Query(flights_sql).ok());  // neighbor unaffected
+  // The neighbor is unaffected: its warm memo entry still hits.
+  EXPECT_TRUE(db.Query(flights_sql).ok());
+  EXPECT_EQ(db.evaluator("flights")->result_memo_stats().hits,
+            flights_hits + 1);
+  // StatsFor's own taxonomy: the dropped relation is NotFound, while a
+  // registered-but-unbuilt one answers OK with built=false and all-zero
+  // counters.
+  EXPECT_EQ(db.catalog().StatsFor("shops").status().code(),
+            StatusCode::kNotFound);
+  ASSERT_TRUE(db.InsertSample("pending", shops_sample_->Clone()).ok());
+  auto pending = db.catalog().StatsFor("pending");
+  ASSERT_TRUE(pending.ok());
+  EXPECT_FALSE(pending->built);
+  EXPECT_EQ(pending->result_memo.entries, 0u);
   ASSERT_TRUE(db.InsertSample("shops", shops_sample_->Clone()).ok());
   ASSERT_TRUE(
       db.InsertAggregateFrom("shops", *shops_population_, {"city"}).ok());
@@ -483,111 +498,6 @@ TEST_F(CatalogTest, ShadowingTableNamesRejected) {
                   .InsertSample("mirror2", flights_sample_->Clone(),
                                 std::move(shared_alias))
                   .ok());
-}
-
-/// The catalog-wide cache-byte budgets split evenly across relations at
-/// Build time; entry-count bounds are untouched.
-TEST_F(CatalogTest, SharedCacheByteBudgetSplitsAcrossRelations) {
-  ThemisOptions options = FastOptions();
-  options.inference_cache_bytes = 10000;
-  options.result_memo_bytes = 8192;
-  ThemisDb db(options);
-  InsertBoth(db);
-  ASSERT_TRUE(db.Build().ok());
-  for (const char* name : {"flights", "shops"}) {
-    ASSERT_NE(db.model(name), nullptr) << name;
-    EXPECT_EQ(db.model(name)->options().inference_cache_bytes, 5000u) << name;
-    EXPECT_EQ(db.model(name)->options().result_memo_bytes, 4096u) << name;
-    EXPECT_EQ(db.model(name)->options().inference_cache_capacity,
-              options.inference_cache_capacity)
-        << name;
-  }
-
-  // A dedicated single-relation instance keeps the whole budget.
-  ThemisDb solo(options);
-  ASSERT_TRUE(solo.InsertSample("flights", flights_sample_->Clone()).ok());
-  ASSERT_TRUE(
-      solo.InsertAggregateFrom("flights", *flights_population_, {"date"})
-          .ok());
-  ASSERT_TRUE(solo.Build().ok());
-  EXPECT_EQ(solo.model()->options().inference_cache_bytes, 10000u);
-  EXPECT_EQ(solo.model()->options().result_memo_bytes, 8192u);
-}
-
-/// Dropping a relation re-inflates the survivors' cache-byte shares
-/// immediately and in place — warm entries survive and keep hitting; no
-/// rebuild required (the ROADMAP's budget-rebalancing item).
-TEST_F(CatalogTest, DropRelationReinflatesSurvivorsCacheBudgets) {
-  ThemisOptions options = FastOptions();
-  options.inference_cache_bytes = 10000;
-  options.result_memo_bytes = 8192;
-  ThemisDb db(options);
-  InsertBoth(db);
-  ASSERT_TRUE(db.Build().ok());
-
-  // Warm the flights caches so survival through the resize is visible.
-  const std::string group_by =
-      "SELECT date, COUNT(*) FROM flights GROUP BY date";
-  ASSERT_TRUE(db.Query(group_by).ok());
-  auto before = db.catalog().StatsFor("flights");
-  ASSERT_TRUE(before.ok());
-  EXPECT_EQ(before->result_memo.capacity, 4096u);   // half of 8192
-  EXPECT_EQ(before->inference_cache.capacity, 5000u);  // half of 10000
-  ASSERT_GE(before->result_memo.entries, 1u);
-
-  ASSERT_TRUE(db.DropRelation("shops").ok());
-  auto after = db.catalog().StatsFor("flights");
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->result_memo.capacity, 8192u);    // whole budget now
-  EXPECT_EQ(after->inference_cache.capacity, 10000u);
-  // Growth never evicts: the warm entries are still resident and hit.
-  EXPECT_EQ(after->result_memo.entries, before->result_memo.entries);
-  const size_t hits_before = after->result_memo.hits;
-  ASSERT_TRUE(db.Query(group_by).ok());
-  auto warmed = db.catalog().StatsFor("flights");
-  ASSERT_TRUE(warmed.ok());
-  EXPECT_EQ(warmed->result_memo.hits, hits_before + 1);
-
-  // StatsFor's own taxonomy: the dropped relation is NotFound, while a
-  // registered-but-unbuilt one answers OK with built=false and all-zero
-  // counters.
-  EXPECT_EQ(db.catalog().StatsFor("shops").status().code(),
-            StatusCode::kNotFound);
-  ASSERT_TRUE(db.InsertSample("pending", shops_sample_->Clone()).ok());
-  auto pending = db.catalog().StatsFor("pending");
-  ASSERT_TRUE(pending.ok());
-  EXPECT_FALSE(pending->built);
-  EXPECT_EQ(pending->result_memo.capacity, 0u);
-}
-
-/// Rebalancing is grow-only: a survivor that built when the catalog was
-/// smaller (and so holds more than the fresh even split) keeps its larger
-/// share — someone else's drop never evicts warm entries.
-TEST_F(CatalogTest, RebalanceNeverShrinksAnEarlierBuiltSurvivor) {
-  ThemisOptions options = FastOptions();
-  options.result_memo_bytes = 8192;
-  ThemisDb db(options);
-  ASSERT_TRUE(db.InsertSample("flights", flights_sample_->Clone()).ok());
-  ASSERT_TRUE(
-      db.InsertAggregateFrom("flights", *flights_population_, {"date"}).ok());
-  ASSERT_TRUE(db.Build().ok());  // alone: the whole 8192-byte budget
-  ASSERT_EQ(db.catalog().StatsFor("flights")->result_memo.capacity, 8192u);
-
-  ASSERT_TRUE(db.InsertSample("shops", shops_sample_->Clone()).ok());
-  ASSERT_TRUE(
-      db.InsertAggregateFrom("shops", *shops_population_, {"city"}).ok());
-  ASSERT_TRUE(db.InsertSample("mirror", flights_sample_->Clone()).ok());
-  ASSERT_TRUE(
-      db.InsertAggregateFrom("mirror", *flights_population_, {"date"}).ok());
-  ASSERT_TRUE(db.Build().ok());  // shops+mirror build at n=3: 2730 each
-  EXPECT_EQ(db.catalog().StatsFor("flights")->result_memo.capacity, 8192u);
-  EXPECT_EQ(db.catalog().StatsFor("shops")->result_memo.capacity, 2730u);
-
-  ASSERT_TRUE(db.DropRelation("mirror").ok());
-  // flights' fresh even share would be 4096 — a shrink, so it keeps 8192;
-  // shops genuinely grows to the n=2 split.
-  EXPECT_EQ(db.catalog().StatsFor("flights")->result_memo.capacity, 8192u);
-  EXPECT_EQ(db.catalog().StatsFor("shops")->result_memo.capacity, 4096u);
 }
 
 }  // namespace

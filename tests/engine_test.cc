@@ -347,42 +347,6 @@ TEST_F(EngineTest, QueryBatchMatchesSequentialLoop) {
   }
 }
 
-TEST_F(EngineTest, ByteBudgetWeighsMarginalsOverProbabilities) {
-  ThemisModel model = BuildModel(FastOptions());
-  bn::InferenceEngine::Options options;
-  options.cache_bytes = 4096;
-  bn::InferenceEngine engine(model.network(), options);
-  ASSERT_TRUE(engine.Probability({{1, 0}}).ok());
-  const size_t prob_cost = engine.cache_stats().cost;
-  EXPECT_GT(prob_cost, 0u);
-  ASSERT_TRUE(engine.Marginal({1, 2}).ok());
-  const size_t with_marginal = engine.cache_stats().cost;
-  // A 9-group marginal table costs more than a scalar probability entry.
-  EXPECT_GT(with_marginal - prob_cost, prob_cost);
-  EXPECT_EQ(engine.cache_stats().entries, 2u);
-}
-
-TEST_F(EngineTest, TinyByteBudgetRejectsHugeMarginals) {
-  ThemisModel model = BuildModel(FastOptions());
-  bn::InferenceEngine::Options options;
-  options.cache_bytes = 96;  // fits a probability, not a marginal table
-  bn::InferenceEngine engine(model.network(), options);
-  ASSERT_TRUE(engine.Probability({{1, 0}}).ok());
-  EXPECT_EQ(engine.cache_stats().entries, 1u);
-  auto first = engine.Marginal({1, 2});
-  auto second = engine.Marginal({1, 2});
-  ASSERT_TRUE(first.ok() && second.ok());
-  // The marginal was never admitted: both calls miss, the probability
-  // entry survives, and answers are unaffected.
-  EXPECT_GE(engine.cache_stats().rejections, 2u);
-  EXPECT_EQ(engine.cache_stats().entries, 1u);
-  ASSERT_TRUE(engine.Probability({{1, 0}}).ok());
-  EXPECT_EQ(engine.cache_stats().hits, 1u);
-  for (const auto& [key, mass] : first->entries()) {
-    EXPECT_EQ(second->Mass(key), mass);
-  }
-}
-
 TEST_F(EngineTest, ResultMemoServesRepeatedGroupByTraffic) {
   ThemisDb db(FastOptions());
   ASSERT_TRUE(db.InsertSample("flights", sample_->Clone()).ok());
@@ -419,75 +383,37 @@ TEST_F(EngineTest, ResultMemoServesRepeatedGroupByTraffic) {
   EXPECT_EQ(db.evaluator()->result_memo_stats().misses, 2u);
 }
 
-/// The result memo's cost-aware admission: under a `result_memo_bytes`
-/// budget entries weigh their approximate result bytes, oversized answers
-/// are rejected outright, and the stats surface evictions/rejections/cost.
-TEST_F(EngineTest, ResultMemoCostAwareAdmissionAndStats) {
-  auto make_db = [&](const ThemisOptions& options) {
-    auto db = std::make_unique<ThemisDb>(options);
-    EXPECT_TRUE(db->InsertSample("flights", sample_->Clone()).ok());
-    EXPECT_TRUE(
-        db->InsertAggregateFrom("flights", *population_, {"o_st", "d_st"})
-            .ok());
-    EXPECT_TRUE(db->Build().ok());
-    return db;
+/// The result memo's LRU bound: one distinct fingerprint more than
+/// HybridEvaluator::kResultMemoCapacity evicts exactly the least recently
+/// used entry, which then misses again while the newest still hits.
+TEST_F(EngineTest, ResultMemoEvictsBeyondCapacity) {
+  ThemisDb db(FastOptions());
+  ASSERT_TRUE(db.InsertSample("flights", sample_->Clone()).ok());
+  ASSERT_TRUE(
+      db.InsertAggregateFrom("flights", *population_, {"o_st", "d_st"})
+          .ok());
+  ASSERT_TRUE(db.Build().ok());
+  // Distinct output aliases give distinct plan fingerprints.
+  const auto sql = [](size_t i) {
+    return "SELECT o_st, COUNT(*) AS c" + std::to_string(i) +
+           " FROM flights GROUP BY o_st";
   };
-  const std::string group_by_1d =
-      "SELECT o_st, COUNT(*) FROM flights GROUP BY o_st";
-  const std::string group_by_2d =
-      "SELECT o_st, d_st, COUNT(*) FROM flights GROUP BY o_st, d_st";
+  constexpr size_t kCapacity = HybridEvaluator::kResultMemoCapacity;
+  for (size_t i = 0; i <= kCapacity; ++i) {
+    ASSERT_TRUE(db.Query(sql(i), AnswerMode::kSampleOnly).ok()) << i;
+  }
+  ResultMemoStats stats = db.evaluator()->result_memo_stats();
+  EXPECT_EQ(stats.entries, kCapacity);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.misses, kCapacity + 1);
 
-  {
-    // Entry-count LRU bound: the second distinct fingerprint evicts the
-    // first, and the unit-cost accounting shows up in `cost`.
-    ThemisOptions options = FastOptions();
-    options.result_memo_capacity = 1;
-    auto db = make_db(options);
-    ASSERT_TRUE(db->Query(group_by_1d).ok());
-    ASSERT_TRUE(db->Query(group_by_2d).ok());
-    ResultMemoStats stats = db->evaluator()->result_memo_stats();
-    EXPECT_EQ(stats.entries, 1u);
-    EXPECT_EQ(stats.evictions, 1u);
-    EXPECT_EQ(stats.rejections, 0u);
-    EXPECT_EQ(stats.cost, 1u);
-  }
-  {
-    // A byte budget too small for any answer: every Put is rejected, so
-    // repeats keep missing — but answers are unaffected.
-    ThemisOptions options = FastOptions();
-    options.result_memo_bytes = 32;
-    auto db = make_db(options);
-    auto first = db->Query(group_by_1d);
-    auto second = db->Query(group_by_1d);
-    ASSERT_TRUE(first.ok() && second.ok());
-    ResultMemoStats stats = db->evaluator()->result_memo_stats();
-    EXPECT_EQ(stats.entries, 0u);
-    EXPECT_EQ(stats.hits, 0u);
-    EXPECT_EQ(stats.misses, 2u);
-    EXPECT_GE(stats.rejections, 2u);
-    for (size_t i = 0; i < first->rows.size(); ++i) {
-      EXPECT_EQ(first->rows[i].values, second->rows[i].values);
-    }
-  }
-  {
-    // An ample byte budget admits entries at their approximate byte cost
-    // (well above the unit cost) and serves repeats.
-    ThemisOptions options = FastOptions();
-    options.result_memo_bytes = 1 << 20;
-    auto db = make_db(options);
-    ASSERT_TRUE(db->Query(group_by_1d).ok());
-    ASSERT_TRUE(db->Query(group_by_1d).ok());
-    ResultMemoStats stats = db->evaluator()->result_memo_stats();
-    EXPECT_EQ(stats.entries, 1u);
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.rejections, 0u);
-    EXPECT_GT(stats.cost, 100u);
-    // The 9-group 2D answer weighs more than the 3-group 1D one.
-    const size_t cost_1d = stats.cost;
-    ASSERT_TRUE(db->Query(group_by_2d).ok());
-    stats = db->evaluator()->result_memo_stats();
-    EXPECT_GT(stats.cost - cost_1d, cost_1d);
-  }
+  ASSERT_TRUE(db.Query(sql(kCapacity), AnswerMode::kSampleOnly).ok());
+  EXPECT_EQ(db.evaluator()->result_memo_stats().hits, 1u);
+  ASSERT_TRUE(db.Query(sql(0), AnswerMode::kSampleOnly).ok());  // evicted
+  stats = db.evaluator()->result_memo_stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, kCapacity + 2);
+  EXPECT_EQ(stats.evictions, 2u);
 }
 
 TEST_F(EngineTest, ResultMemoInvalidatedOnRebuild) {

@@ -309,11 +309,12 @@ TEST_F(ServerTest, ErrorMappingOverTheWire) {
 /// — deterministically, no timing. STATS bypasses admission so the
 /// overload stays observable while it is happening.
 TEST_F(ServerTest, OverloadRejectsWithResourceExhausted) {
-  auto db = MakeDb(FastOptions(1));
+  ThemisOptions themis = FastOptions(1);
+  themis.max_inflight = 1;
+  auto db = MakeDb(themis);
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
   QueryServer::Options options;
-  options.max_inflight = 1;
   options.request_hook = [released] { released.wait(); };
   QueryServer server(&db->catalog(), options);
   ASSERT_TRUE(server.Start().ok());
@@ -794,6 +795,42 @@ double MetricValue(const std::string& text, const std::string& name) {
     pos += needle.size();
   }
   return -1.0;
+}
+
+/// Every knob has one home: the catalog-wide serving bounds come from the
+/// ThemisOptions the catalog was built with (a default-constructed
+/// QueryServer::Options has no copy of them to shadow), and the per-server
+/// tracing knob lives on QueryServer::Options alone.
+TEST_F(ServerTest, ServingKnobsHaveOneHome) {
+  ThemisOptions themis = FastOptions(2);
+  themis.max_inflight = 7;
+  themis.response_cache_bytes = 12345;
+  auto db = MakeDb(themis);
+  {
+    QueryServer server(&db->catalog(), QueryServer::Options());
+    ASSERT_TRUE(server.Start().ok());
+    auto client = Client::Connect(server.port());
+    ASSERT_TRUE(client.ok());
+    auto stats = client->Stats();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->server.max_inflight, 7u);
+    EXPECT_EQ(stats->server.response_cache_capacity, 12345u);
+    server.Stop();
+  }
+  QueryServer::Options options;
+  options.trace_sample_n = 1;
+  QueryServer server(&db->catalog(), options);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect(server.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(
+      client->Query("SELECT date, COUNT(*) FROM flights GROUP BY date").ok());
+  auto text = client->Metrics();
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  const std::string execute_count =
+      "themis_stage_latency_seconds_count{stage=\"execute\"}";
+  EXPECT_GT(MetricValue(*text, execute_count), 0.0);
+  server.Stop();
 }
 
 TEST_F(ServerTest, MetricsVerbExposesPrometheusTextWithCountIdentity) {
