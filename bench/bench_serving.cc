@@ -34,10 +34,9 @@
 //
 // --dupes switches to the duplicate-heavy thundering-herd mode: 16
 // clients stream the same Zipf-skewed GROUP BY sequence against a
-// baseline server (micro-batching, single-flight coalescing, and the
-// response byte cache all disabled) and a fully hot-pathed one (all
-// three enabled), bitwise-checking every answer; the gate is the QPS
-// ratio. Ends with a deterministic leader-parked coalescing probe so
+// baseline server (single-flight coalescing and the response byte
+// cache both disabled) and a fully hot-pathed one (both enabled),
+// bitwise-checking every answer; the gate is the QPS ratio. Ends with a deterministic leader-parked coalescing probe so
 // the CI smoke's coalesced_hits assertion never depends on scheduler
 // timing.
 #include <sys/resource.h>
@@ -534,9 +533,9 @@ class StepBarrier {
 /// thundering herd of a real interactive fleet, where a dashboard tick
 /// makes every user fire the head queries within milliseconds of each
 /// other. The identical workload runs against two server configurations:
-/// the per-request-submission baseline (adaptive micro-batching and
-/// single-flight coalescing both disabled — exactly the pre-coalescing
-/// serving path) and the coalesced server (both enabled). On a cold
+/// the baseline (single-flight coalescing and the response byte cache
+/// both disabled — exactly the pre-coalescing serving path) and the
+/// coalesced server (both enabled). On a cold
 /// query the baseline's herd all miss the result memo and execute the
 /// plan kClients times; the coalesced server executes it once and
 /// attaches the rest as followers. The memo is cleared before every
@@ -610,7 +609,6 @@ int Dupes(size_t rounds, bool smoke, const std::string& json_path) {
   const auto run = [&](bool coalesced) -> double {
     db.catalog().SetCoalescingEnabled(coalesced);
     server::QueryServer::Options server_options;
-    server_options.enable_micro_batch = coalesced;
     // The response byte cache rides with the coalesced configuration:
     // round 1 of a query is a miss (the herd coalesces into one flight,
     // whose encoded bytes are admitted), and every later round is served
@@ -657,17 +655,15 @@ int Dupes(size_t rounds, bool smoke, const std::string& json_path) {
   };
 
   const double baseline_qps = run(false);
-  std::printf("  baseline  (per-request submission): %8.0f q/s\n",
+  std::printf("  baseline  (no coalescing, no byte cache): %8.0f q/s\n",
               baseline_qps);
   const double coalesced_qps = run(true);
   std::printf(
-      "  coalesced (single-flight + micro-batch + byte cache): %8.0f q/s "
-      "(coalesced_hits=%zu flights=%zu batches_formed=%zu "
-      "batched_requests=%zu response_cache_hits=%zu "
+      "  coalesced (single-flight + byte cache): %8.0f q/s "
+      "(coalesced_hits=%zu flights=%zu response_cache_hits=%zu "
       "responses_encoded=%zu)\n",
       coalesced_qps, coalesced_memo.coalesced_hits,
-      coalesced_memo.coalesced_flights, coalesced_counters.batches_formed,
-      coalesced_counters.batched_requests,
+      coalesced_memo.coalesced_flights,
       coalesced_counters.response_cache_hits,
       coalesced_counters.responses_encoded);
   const double speedup =
@@ -740,12 +736,6 @@ int Dupes(size_t rounds, bool smoke, const std::string& json_path) {
     root.Set("coalesced_hits",
              server::JsonValue::Number(
                  static_cast<double>(coalesced_memo.coalesced_hits)));
-    root.Set("batches_formed",
-             server::JsonValue::Number(static_cast<double>(
-                 coalesced_counters.batches_formed)));
-    root.Set("batched_requests",
-             server::JsonValue::Number(static_cast<double>(
-                 coalesced_counters.batched_requests)));
     root.Set("response_cache_hits",
              server::JsonValue::Number(static_cast<double>(
                  coalesced_counters.response_cache_hits)));

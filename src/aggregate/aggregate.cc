@@ -45,6 +45,8 @@ AggregateSpec ComputeAggregate(const data::Table& population,
 }
 
 void PerturbAggregate(AggregateSpec& agg, double sigma, Rng& rng) {
+  // sigma 0 adds no noise, and N(0, 0) is not a valid distribution.
+  if (sigma <= 0.0) return;
   for (auto& [key, count] : agg.groups) {
     count = std::max(0.0, count * (1.0 + rng.Normal(0.0, sigma)));
   }

@@ -43,7 +43,8 @@ AggregateSpec ComputeAggregate(const data::Table& population,
 
 /// Adds independent relative noise to every count: c <- max(0, c * (1 +
 /// eps)), eps ~ N(0, sigma). Models perturbed / differentially-private
-/// published aggregates (Sec 3).
+/// published aggregates (Sec 3). sigma <= 0 leaves `agg` and `rng` as
+/// they are.
 void PerturbAggregate(AggregateSpec& agg, double sigma, Rng& rng);
 
 /// The set Γ of all available population aggregates.

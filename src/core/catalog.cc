@@ -9,7 +9,6 @@ namespace themis::core {
 
 Catalog::Catalog(ThemisOptions options, util::ThreadPool* pool)
     : options_(std::move(options)),
-      route_cache_(std::make_unique<RouteCache>()),
       mutation_listeners_(std::make_unique<MutationListeners>()) {
   pool_ = util::ResolvePool(pool, options_.num_threads, owned_pool_);
 }
@@ -239,23 +238,25 @@ Result<const Catalog::Relation*> Catalog::FindBuilt(
   return &it->second;
 }
 
-Result<std::string> Catalog::RouteFor(const std::string& sql) const {
-  {
-    std::lock_guard<std::mutex> lock(route_cache_->mu);
-    if (auto hit = route_cache_->cache.Get(sql)) return *hit;
+Result<Catalog::ResolvedQuery> Catalog::Resolve(
+    const std::string& relation, const std::string& sql,
+    obs::TraceContext* trace) const {
+  obs::ScopedSpan span(trace, obs::Stage::kPlanLookup);
+  std::string routed;
+  if (relation.empty()) {
+    THEMIS_ASSIGN_OR_RETURN(routed, Route(sql));
   }
-  THEMIS_ASSIGN_OR_RETURN(std::string from, FirstFromTable(sql));
-  std::lock_guard<std::mutex> lock(route_cache_->mu);
-  route_cache_->cache.Put(sql, from);
-  return from;
+  THEMIS_ASSIGN_OR_RETURN(const Relation* entry,
+                          FindBuilt(relation.empty() ? routed : relation));
+  THEMIS_ASSIGN_OR_RETURN(QueryPlanPtr plan, entry->evaluator->Plan(sql));
+  return ResolvedQuery{entry->evaluator.get(), std::move(plan)};
 }
 
 Result<sql::QueryResult> Catalog::Query(const std::string& sql,
                                         AnswerMode mode,
                                         const util::CancelToken* cancel,
                                         obs::TraceContext* trace) const {
-  THEMIS_ASSIGN_OR_RETURN(std::string from, RouteFor(sql));
-  return QueryOn(from, sql, mode, cancel, trace);
+  return QueryOn("", sql, mode, cancel, trace);
 }
 
 Result<sql::QueryResult> Catalog::QueryOn(const std::string& relation,
@@ -263,51 +264,10 @@ Result<sql::QueryResult> Catalog::QueryOn(const std::string& relation,
                                           AnswerMode mode,
                                           const util::CancelToken* cancel,
                                           obs::TraceContext* trace) const {
-  THEMIS_ASSIGN_OR_RETURN(const Relation* entry, FindBuilt(relation));
-  return entry->evaluator->Query(sql, mode, cancel, trace);
-}
-
-std::vector<Result<sql::QueryResult>> Catalog::QueryMany(
-    std::span<const QueryItem> items) const {
-  // Per-item route + plan with per-item fault isolation: one bad request
-  // records its error in its own slot and its batch-mates still run.
-  std::vector<Result<sql::QueryResult>> results(
-      items.size(), Result<sql::QueryResult>(Status::Internal("not run")));
-  std::vector<const HybridEvaluator*> evaluators(items.size(), nullptr);
-  std::vector<QueryPlanPtr> plans(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    const QueryItem& item = items[i];
-    std::string route = item.relation;
-    if (route.empty()) {
-      auto from = RouteFor(item.sql);
-      if (!from.ok()) {
-        results[i] = from.status();
-        continue;
-      }
-      route = std::move(*from);
-    }
-    auto entry = FindBuilt(route);
-    if (!entry.ok()) {
-      results[i] = entry.status();
-      continue;
-    }
-    auto plan = (*entry)->evaluator->Plan(item.sql);
-    if (!plan.ok()) {
-      results[i] = plan.status();
-      continue;
-    }
-    evaluators[i] = (*entry)->evaluator.get();
-    plans[i] = std::move(*plan);
-  }
-  // Whole plans are pool tasks, exactly as in QueryBatch; duplicate items
-  // inside one micro-batch coalesce through the evaluator's single-flight
-  // layer like any other concurrent duplicates.
-  pool_->ParallelFor(0, items.size(), [&](size_t i) {
-    if (plans[i] == nullptr) return;  // planning already failed
-    results[i] = evaluators[i]->ExecutePlan(*plans[i], items[i].mode,
-                                            items[i].cancel, items[i].trace);
-  });
-  return results;
+  THEMIS_ASSIGN_OR_RETURN(ResolvedQuery resolved,
+                          Resolve(relation, sql, trace));
+  return resolved.evaluator->ExecutePlan(*resolved.plan, mode, cancel,
+                                         trace);
 }
 
 void Catalog::SetCoalescingEnabled(bool enabled) const {
@@ -324,26 +284,22 @@ Result<std::vector<sql::QueryResult>> Catalog::QueryBatch(
   // Route + plan everything first: repeated texts share one plan through
   // each relation's plan cache, and routing errors, malformed SQL, or an
   // unbuilt relation fail before any execution starts.
-  std::vector<const HybridEvaluator*> evaluators;
-  std::vector<QueryPlanPtr> plans;
-  evaluators.reserve(sqls.size());
-  plans.reserve(sqls.size());
+  std::vector<ResolvedQuery> resolved;
+  resolved.reserve(sqls.size());
   for (const std::string& sql : sqls) {
-    THEMIS_ASSIGN_OR_RETURN(std::string from, RouteFor(sql));
-    THEMIS_ASSIGN_OR_RETURN(const Relation* entry, FindBuilt(from));
-    THEMIS_ASSIGN_OR_RETURN(QueryPlanPtr plan, entry->evaluator->Plan(sql));
-    evaluators.push_back(entry->evaluator.get());
-    plans.push_back(std::move(plan));
+    THEMIS_ASSIGN_OR_RETURN(ResolvedQuery query, Resolve("", sql, trace));
+    resolved.push_back(std::move(query));
   }
   // Whole plans are pool tasks, interleaved across relations; each GROUP
   // BY plan's K-world fan-out nests on the same pool.
   std::vector<Result<sql::QueryResult>> results(
-      plans.size(), Result<sql::QueryResult>(Status::Internal("not run")));
-  pool_->ParallelFor(0, plans.size(), [&](size_t i) {
-    results[i] = evaluators[i]->ExecutePlan(*plans[i], mode, cancel, trace);
+      resolved.size(), Result<sql::QueryResult>(Status::Internal("not run")));
+  pool_->ParallelFor(0, resolved.size(), [&](size_t i) {
+    results[i] = resolved[i].evaluator->ExecutePlan(*resolved[i].plan, mode,
+                                                    cancel, trace);
   });
   std::vector<sql::QueryResult> out;
-  out.reserve(plans.size());
+  out.reserve(resolved.size());
   for (Result<sql::QueryResult>& result : results) {
     // Report the lowest-index failure so batch errors are deterministic.
     if (!result.ok()) return result.status();

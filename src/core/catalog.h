@@ -13,7 +13,7 @@
 
 #include "core/evaluator.h"
 #include "core/model.h"
-#include "util/lru_cache.h"
+#include "core/query_plan.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -59,9 +59,10 @@ struct RelationConfig {
 /// the catalog's one util::ThreadPool.
 ///
 /// Queries route by the FROM table: `Query`/`QueryBatch` resolve the first
-/// FROM identifier against the relation names and dispatch to that
-/// relation's evaluator, stamping the relation into every plan fingerprint
-/// so memo entries never collide across relations. `QueryBatch` interleaves
+/// FROM identifier against the relation names (one Resolve step per
+/// query: route, find, plan) and dispatch to that relation's evaluator,
+/// stamping the relation into every plan fingerprint so memo entries
+/// never collide across relations. `QueryBatch` interleaves
 /// plans from different relations on the shared pool; each answer is
 /// bitwise identical to the same query on a dedicated single-relation
 /// instance at any pool size.
@@ -153,7 +154,8 @@ class Catalog {
                                  obs::TraceContext* trace = nullptr) const;
 
   /// Answers SQL against an explicitly named relation (bypasses
-  /// FROM-routing; required when relations share a SQL table name).
+  /// FROM-routing; required when relations share a SQL table name). An
+  /// empty `relation` routes by the FROM table, like Query.
   Result<sql::QueryResult> QueryOn(
       const std::string& relation, const std::string& sql,
       AnswerMode mode = AnswerMode::kHybrid,
@@ -172,37 +174,28 @@ class Catalog {
       const util::CancelToken* cancel = nullptr,
       obs::TraceContext* trace = nullptr) const;
 
-  /// One request of a QueryMany micro-batch — the server-side analogue of
-  /// a QueryBatch entry, with per-item routing, mode, and cancellation.
-  struct QueryItem {
-    std::string sql;
-    /// Explicitly pinned relation (Catalog::QueryOn semantics); empty
-    /// routes by the FROM table.
-    std::string relation;
-    AnswerMode mode = AnswerMode::kHybrid;
-    const util::CancelToken* cancel = nullptr;
-    /// Per-item trace (nullable, like `cancel`): each micro-batch member
-    /// keeps its own span record even though they share one pool task.
-    obs::TraceContext* trace = nullptr;
+  /// One query resolved against the catalog: the evaluator of the
+  /// relation it targets and its (plan-cached) logical plan.
+  struct ResolvedQuery {
+    const HybridEvaluator* evaluator = nullptr;
+    QueryPlanPtr plan;
   };
 
-  /// Executes a micro-batch of independent requests with per-item fault
-  /// isolation: unlike QueryBatch (one client's batch — all-or-nothing),
-  /// each item carries its own route/plan/execution outcome, so one
-  /// malformed query or expired deadline never fails its batch-mates.
-  /// Plans run as one ParallelFor over the shared pool; each answer is
-  /// bitwise identical to the same request through Query/QueryOn. How the
-  /// serving layer submits the N>1 requests of one epoll drain pass as a
-  /// single pool task.
-  std::vector<Result<sql::QueryResult>> QueryMany(
-      std::span<const QueryItem> items) const;
+  /// The one resolve step every entry point shares — Query, QueryOn,
+  /// QueryBatch and the serving layer: the explicit `relation`, or the
+  /// FROM route when it is empty, then the built relation, then its plan
+  /// through the relation's plan cache, recorded as one
+  /// obs::Stage::kPlanLookup span. NotFound("no relation 'x'") for an
+  /// unknown relation, FailedPrecondition for an unbuilt one, and the
+  /// parser's status for malformed SQL. Executing the plan through
+  /// `evaluator->ExecutePlan` answers exactly like Query/QueryOn.
+  Result<ResolvedQuery> Resolve(const std::string& relation,
+                                const std::string& sql,
+                                obs::TraceContext* trace = nullptr) const;
 
-  /// The relation name `sql` routes to (its first FROM identifier) —
-  /// the public face of the memoized route cache. The serving layer uses
-  /// it to key response-cache invalidation by the routed relation even
-  /// when the wire request carried no explicit relation.
+  /// The relation name `sql` routes to: its first FROM identifier.
   Result<std::string> Route(const std::string& sql) const {
-    return RouteFor(sql);
+    return FirstFromTable(sql);
   }
 
   /// A callback fired synchronously from every relation mutation
@@ -213,9 +206,8 @@ class Catalog {
   using MutationListener = std::function<void(const std::string& relation)>;
 
   /// Registers a mutation listener, returning an id for removal.
-  /// Const-qualified (listener state is heap-held, like the route cache,
-  /// keeping the catalog movable) so a server fronting a const catalog
-  /// can subscribe.
+  /// Const-qualified (listener state is heap-held, keeping the catalog
+  /// movable) so a server fronting a const catalog can subscribe.
   uint64_t AddMutationListener(MutationListener listener) const;
   void RemoveMutationListener(uint64_t id) const;
 
@@ -249,17 +241,6 @@ class Catalog {
   /// FailedPrecondition when not built.
   Result<const Relation*> FindBuilt(const std::string& name) const;
 
-  /// The relation name `sql` routes to (its first FROM identifier),
-  /// memoized by exact text — the route depends only on the text, never
-  /// on catalog state, so entries cannot go stale.
-  Result<std::string> RouteFor(const std::string& sql) const;
-
-  /// Heap-allocated so the catalog stays movable despite the mutex.
-  struct RouteCache {
-    std::mutex mu;
-    LruCache<std::string, std::string> cache{1024};
-  };
-
   /// Fires every registered mutation listener for `relation`.
   void NotifyMutation(const std::string& relation) const;
 
@@ -271,7 +252,6 @@ class Catalog {
   };
 
   ThemisOptions options_;
-  std::unique_ptr<RouteCache> route_cache_;
   std::unique_ptr<MutationListeners> mutation_listeners_;
   std::unique_ptr<util::ThreadPool> owned_pool_;  // when num_threads is set
   util::ThreadPool* pool_ = nullptr;

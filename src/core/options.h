@@ -16,8 +16,8 @@ const char* ReweightMethodName(ReweightMethod method);
 
 /// Build-time configuration of a Themis model, and the catalog-wide
 /// serving bounds a server::QueryServer reads from it. Each knob lives in
-/// exactly one place: per-server settings (I/O threads, micro-batching,
-/// tracing, the response-cache switch) are server::QueryServer::Options,
+/// exactly one place: per-server settings (port, I/O threads, tracing,
+/// the response-cache switch) are server::QueryServer::Options,
 /// and the plan cache, result memo and inference cache use fixed entry
 /// bounds (core::HybridEvaluator).
 struct ThemisOptions {

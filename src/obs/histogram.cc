@@ -18,7 +18,9 @@ int64_t Histogram::BucketUpperBound(size_t index) {
   const size_t group = (index - 64) / kSubBuckets;
   const size_t sub = (index - 64) % kSubBuckets;
   const int shift = static_cast<int>(group) + 1;
-  return (static_cast<int64_t>(sub + kSubBuckets + 1) << shift) - 1;
+  // Unsigned, so the top bucket's bound, 2^63 - 1, does not overflow.
+  return static_cast<int64_t>(
+      (static_cast<uint64_t>(sub + kSubBuckets + 1) << shift) - 1);
 }
 
 void Histogram::Record(int64_t value) {

@@ -22,7 +22,7 @@ enum class Stage {
   kParse = 0,            // wire line -> WireRequest
   kAdmission,            // parse end -> admission decision
   kQueueWait,            // admitted -> pool task starts running
-  kPlanLookup,           // SQL -> plan (plan cache) + result-memo probe
+  kPlanLookup,           // SQL -> route + plan (plan cache); memo probe
   kSingleFlightWait,     // follower parked on another request's flight
   kExecute,              // uncached plan execution (evaluator level)
   kExecutorScan,         // sql::Executor shard-loop portion of kExecute

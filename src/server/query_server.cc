@@ -88,16 +88,6 @@ struct QueryServer::PendingResponse {
   std::unique_ptr<obs::TraceContext> trace;
 };
 
-/// One admitted request between its drain pass and its pool dispatch:
-/// the parsed request, the FIFO slot it answers into (shared with the
-/// owning I/O thread), and the session it came from. Only the owning I/O
-/// thread touches the ready list; dispatched copies move into pool tasks.
-struct QueryServer::ReadyRequest {
-  WireRequest request;
-  std::shared_ptr<PendingResponse> slot;
-  uint64_t session_id = 0;
-};
-
 /// One client connection. Only its owning I/O thread touches it.
 struct QueryServer::Session {
   int fd = -1;
@@ -121,8 +111,8 @@ struct QueryServer::Session {
   uint64_t default_deadline_ms = 0;
 };
 
-/// Response-cache coordinates of one admitted kQuery (see
-/// PrepareCacheIntent). `eligible` false means the miss path encodes
+/// Response-cache coordinates of one resolved kQuery (see
+/// MakeCacheIntent). `eligible` false means the miss path encodes
 /// without admitting.
 struct QueryServer::CacheIntent {
   bool eligible = false;
@@ -147,10 +137,6 @@ struct QueryServer::IoThread {
   bool shutdown = false;
 
   std::unordered_map<uint64_t, std::unique_ptr<Session>> sessions;
-
-  /// Requests admitted during the current drain pass, dispatched together
-  /// at the end of the loop iteration (DispatchReady). Loop-thread-private.
-  std::vector<ReadyRequest> ready;
 
   ~IoThread() {
     if (epoll_fd >= 0) ::close(epoll_fd);
@@ -314,7 +300,6 @@ void QueryServer::IoLoop(size_t index) {
   bool shutdown = false;
   std::chrono::steady_clock::time_point flush_deadline{};
   for (;;) {
-    if (options_.loop_hook) options_.loop_hook();
     // Once shutdown is requested the loop polls: the remaining wakeups
     // (task completions, final EPOLLOUTs) still arrive through epoll, but
     // the flush grace needs a clock check even when nothing fires.
@@ -341,10 +326,6 @@ void QueryServer::IoLoop(size_t index) {
         HandleReadable(io, tag);
       }
     }
-    // One drain pass is over: everything admitted above dispatches now —
-    // a lone request as one Submit (no added latency), N>1 as micro-batch
-    // tasks. Nothing ever waits for a later iteration.
-    DispatchReady(io);
     DrainMailbox(io, &shutdown);
     if (shutdown) {
       if (flush_deadline == std::chrono::steady_clock::time_point{}) {
@@ -751,86 +732,39 @@ void QueryServer::HandleLine(IoThread& io, Session& session,
   }
   session.fifo.push_back(slot);
 
-  // Dispatch is deferred to the end of this drain pass (DispatchReady):
-  // the ready list is what lets N requests that woke the loop together
-  // leave as one pool task instead of N.
-  io.ready.push_back(
-      ReadyRequest{std::move(*request), std::move(slot), session.id});
+  Submit(io.index, session.id, std::move(*request), std::move(slot));
 }
 
-void QueryServer::DispatchReady(IoThread& io) {
-  if (io.ready.empty()) return;
-  std::vector<ReadyRequest> ready;
-  ready.swap(io.ready);
-  const size_t io_index = io.index;
-  // The adaptive policy in full: a lone request — the common case on
-  // unique traffic — takes the classic one-Submit path untouched, so
-  // coalescing can never add latency when there is nothing to coalesce.
-  // Only when the backlog already arrived together (N>1 parsed out of one
-  // wake-up) do query requests leave as micro-batches.
-  if (!options_.enable_micro_batch || ready.size() == 1) {
-    for (ReadyRequest& request : ready) {
-      SubmitSingle(io_index, std::move(request));
-    }
-    return;
-  }
-  // Client-sent batches (the kBatch verb) keep their dedicated
-  // all-or-nothing path; only kQuery requests merge.
-  std::vector<ReadyRequest> batchable;
-  batchable.reserve(ready.size());
-  for (ReadyRequest& request : ready) {
-    if (request.request.verb == WireRequest::Verb::kQuery) {
-      batchable.push_back(std::move(request));
-    } else {
-      SubmitSingle(io_index, std::move(request));
-    }
-  }
-  const size_t max_batch =
-      options_.micro_batch_max > 0 ? options_.micro_batch_max
-                                   : batchable.size();
-  size_t begin = 0;
-  while (begin < batchable.size()) {
-    const size_t n = std::min(max_batch, batchable.size() - begin);
-    if (n == 1) {
-      SubmitSingle(io_index, std::move(batchable[begin]));
-      ++begin;
-      continue;
-    }
-    std::vector<ReadyRequest> batch(
-        std::make_move_iterator(batchable.begin() + begin),
-        std::make_move_iterator(batchable.begin() + begin + n));
-    begin += n;
-    SubmitBatch(io_index, std::move(batch));
-  }
-}
-
-void QueryServer::SubmitSingle(size_t io_index, ReadyRequest ready) {
+void QueryServer::Submit(size_t io_index, uint64_t session_id,
+                         WireRequest request,
+                         std::shared_ptr<PendingResponse> slot) {
   {
     std::lock_guard<std::mutex> drain(drain_mu_);
     ++tasks_active_;
   }
-  catalog_->pool()->Submit([this, io_index,
-                            ready = std::move(ready)]() mutable {
-    obs::TraceContext* trace = ready.slot->trace.get();
+  catalog_->pool()->Submit([this, io_index, session_id,
+                            request = std::move(request),
+                            slot = std::move(slot)] {
+    obs::TraceContext* trace = slot->trace.get();
     if (trace != nullptr) {
-      trace->RecordSpan(obs::Stage::kQueueWait, ready.slot->admitted_ns,
+      trace->RecordSpan(obs::Stage::kQueueWait, slot->admitted_ns,
                         util::SteadyNowNs());
     }
     try {
       if (options_.request_hook) options_.request_hook();
-      ExecuteRequest(ready, trace);
+      ExecuteRequest(request, *slot, trace);
     } catch (...) {
       served_error_.fetch_add(1, std::memory_order_relaxed);
       if (trace != nullptr) trace->SetStatus("Internal");
       responses_encoded_.fetch_add(1, std::memory_order_relaxed);
-      ready.slot->shared.reset();
-      ready.slot->owned = EncodeErrorResponse(
+      slot->shared.reset();
+      slot->owned = EncodeErrorResponse(
           Status::Internal("request task threw an exception"));
     }
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    RecordRequestDone(*ready.slot, util::SteadyNowNs());
-    ready.slot->done.store(true, std::memory_order_release);
-    PostCompletions(io_index, {ready.session_id});
+    RecordRequestDone(*slot, util::SteadyNowNs());
+    slot->done.store(true, std::memory_order_release);
+    PostCompletion(io_index, session_id);
     // Very last action: release the drain count. After this the server
     // may be torn down, so nothing below may touch `this`.
     {
@@ -841,97 +775,11 @@ void QueryServer::SubmitSingle(size_t io_index, ReadyRequest ready) {
   });
 }
 
-void QueryServer::SubmitBatch(size_t io_index,
-                              std::vector<ReadyRequest> batch) {
-  {
-    std::lock_guard<std::mutex> drain(drain_mu_);
-    ++tasks_active_;
-  }
-  batches_formed_.fetch_add(1, std::memory_order_relaxed);
-  batched_requests_.fetch_add(batch.size(), std::memory_order_relaxed);
-  catalog_->pool()->Submit([this, io_index,
-                            batch = std::move(batch)]() mutable {
-    const int64_t task_start_ns = util::SteadyNowNs();
-    for (const ReadyRequest& ready : batch) {
-      if (ready.slot->trace != nullptr) {
-        ready.slot->trace->RecordSpan(obs::Stage::kQueueWait,
-                                      ready.slot->admitted_ns, task_start_ns);
-      }
-    }
-    std::vector<Result<sql::QueryResult>> results;
-    std::vector<CacheIntent> intents(batch.size());
-    try {
-      if (options_.request_hook) options_.request_hook();
-      std::vector<core::Catalog::QueryItem> items;
-      items.reserve(batch.size());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        const ReadyRequest& ready = batch[i];
-        // Cache coordinates (incl. the generation snapshot) before the
-        // batch executes, exactly like the single-request path.
-        intents[i] = PrepareCacheIntent(ready.request);
-        items.push_back(core::Catalog::QueryItem{
-            ready.request.sql, ready.request.relation, ready.request.mode,
-            ready.slot->cancel.get(), ready.slot->trace.get()});
-      }
-      results = catalog_->QueryMany(items);
-    } catch (...) {
-      results.clear();
-    }
-    // Per-logical-request accounting: every request in the batch settles
-    // its own admission slot and served_* tallies, exactly as if it had
-    // run as its own task — batching changes the task count, never the
-    // observable per-request bookkeeping.
-    std::vector<uint64_t> sessions;
-    sessions.reserve(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const Result<sql::QueryResult>* result =
-          i < results.size() ? &results[i] : nullptr;
-      obs::TraceContext* trace = batch[i].slot->trace.get();
-      {
-        obs::ScopedSpan span(trace, obs::Stage::kSerialize);
-        if (result != nullptr) {
-          FinalizeOutcome(*result, intents[i], *batch[i].slot);
-        } else {
-          FinalizeOutcome(Result<sql::QueryResult>(Status::Internal(
-                              "request task threw an exception")),
-                          intents[i], *batch[i].slot);
-        }
-      }
-      if (trace != nullptr) {
-        trace->SetStatus(result != nullptr && result->ok()
-                             ? "OK"
-                             : StatusCodeName(
-                                   result != nullptr
-                                       ? result->status().code()
-                                       : StatusCode::kInternal));
-      }
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      RecordRequestDone(*batch[i].slot, util::SteadyNowNs());
-      batch[i].slot->done.store(true, std::memory_order_release);
-      sessions.push_back(batch[i].session_id);
-    }
-    PostCompletions(io_index, sessions);
-    // Very last action, as in SubmitSingle: nothing below may touch
-    // `this` once the drain count drops.
-    {
-      std::lock_guard<std::mutex> drain(drain_mu_);
-      --tasks_active_;
-      drain_cv_.notify_all();
-    }
-  });
-}
-
-void QueryServer::PostCompletions(size_t io_index,
-                                  const std::vector<uint64_t>& session_ids) {
+void QueryServer::PostCompletion(size_t io_index, uint64_t session_id) {
   IoThread& owner = *io_[io_index];
   {
     std::lock_guard<std::mutex> owner_lock(owner.mu);
-    for (size_t i = 0; i < session_ids.size(); ++i) {
-      // A batch often carries several requests of one session; one flush
-      // per session is enough.
-      if (i > 0 && session_ids[i] == session_ids[i - 1]) continue;
-      owner.completed.push_back(session_ids[i]);
-    }
+    owner.completed.push_back(session_id);
   }
   owner.wake.Signal();
 }
@@ -949,24 +797,13 @@ Status AsWireStatus(const Status& status) {
 
 }  // namespace
 
-QueryServer::CacheIntent QueryServer::PrepareCacheIntent(
-    const WireRequest& request) {
+QueryServer::CacheIntent QueryServer::MakeCacheIntent(
+    const WireRequest& request,
+    const core::Catalog::ResolvedQuery& resolved) {
   CacheIntent intent;
-  if (response_cache_ == nullptr ||
-      request.verb != WireRequest::Verb::kQuery) {
-    return intent;
-  }
-  std::string relation = request.relation;
-  if (relation.empty()) {
-    auto routed = catalog_->Route(request.sql);
-    if (!routed.ok()) return intent;  // execution answers the error
-    relation = std::move(*routed);
-  }
-  const core::HybridEvaluator* evaluator = catalog_->evaluator(relation);
-  if (evaluator == nullptr) return intent;  // unknown/unbuilt: error path
-  // Plan-cache lookup: on the hot path this is a hash probe, not a parse.
-  auto plan = evaluator->Plan(request.sql);
-  if (!plan.ok() || (*plan)->fingerprint.empty()) return intent;
+  const std::string& fingerprint = resolved.plan->fingerprint;
+  if (response_cache_ == nullptr || fingerprint.empty()) return intent;
+  const std::string& relation = resolved.evaluator->relation();
   // Generation snapshot *before* execution: if the relation mutates while
   // the query runs, Admit() sees the moved generation and refuses the
   // stale bytes.
@@ -977,7 +814,6 @@ QueryServer::CacheIntent QueryServer::PrepareCacheIntent(
   intent.probe_key += AnswerModeWireName(request.mode);
   intent.probe_key += '\x1f';
   intent.probe_key += request.sql;
-  const std::string& fingerprint = (*plan)->fingerprint;
   intent.full_key.reserve(relation.size() + fingerprint.size() + 32);
   intent.full_key += relation;
   intent.full_key += '\x1f';
@@ -986,7 +822,7 @@ QueryServer::CacheIntent QueryServer::PrepareCacheIntent(
   intent.full_key += AnswerModeWireName(request.mode);
   intent.full_key += '\x1f';
   intent.full_key += fingerprint;
-  intent.relation = std::move(relation);
+  intent.relation = relation;
   intent.eligible = true;
   return intent;
 }
@@ -1030,10 +866,10 @@ void QueryServer::FinalizeOutcome(const Result<sql::QueryResult>& result,
   slot.owned = EncodeErrorResponse(AsWireStatus(status));
 }
 
-void QueryServer::ExecuteRequest(ReadyRequest& ready,
+void QueryServer::ExecuteRequest(const WireRequest& request,
+                                 PendingResponse& slot,
                                  obs::TraceContext* trace) {
-  const WireRequest& request = ready.request;
-  const util::CancelToken* cancel = ready.slot->cancel.get();
+  const util::CancelToken* cancel = slot.cancel.get();
   if (request.verb == WireRequest::Verb::kBatch) {
     auto results =
         catalog_->QueryBatch(request.batch, request.mode, cancel, trace);
@@ -1051,27 +887,32 @@ void QueryServer::ExecuteRequest(ReadyRequest& ready,
         served_cancelled_.fetch_add(1, std::memory_order_relaxed);
       }
       responses_encoded_.fetch_add(1, std::memory_order_relaxed);
-      ready.slot->owned = EncodeErrorResponse(AsWireStatus(status));
+      slot.owned = EncodeErrorResponse(AsWireStatus(status));
       return;
     }
     served_ok_.fetch_add(1, std::memory_order_relaxed);
     obs::ScopedSpan span(trace, obs::Stage::kSerialize);
     responses_encoded_.fetch_add(1, std::memory_order_relaxed);
-    ready.slot->owned = EncodeBatchResponse(*results);
+    slot.owned = EncodeBatchResponse(*results);
     return;
   }
-  const CacheIntent intent = PrepareCacheIntent(request);
-  auto result =
-      request.relation.empty()
-          ? catalog_->Query(request.sql, request.mode, cancel, trace)
-          : catalog_->QueryOn(request.relation, request.sql, request.mode,
-                              cancel, trace);
+  // One route and one plan-cache probe: the cache intent and the
+  // execution share the resolved plan. Routing and planning errors are
+  // answered, never cached.
+  auto resolved = catalog_->Resolve(request.relation, request.sql, trace);
+  CacheIntent intent;
+  if (resolved.ok()) intent = MakeCacheIntent(request, *resolved);
+  const Result<sql::QueryResult> result =
+      resolved.ok()
+          ? resolved->evaluator->ExecutePlan(*resolved->plan, request.mode,
+                                             cancel, trace)
+          : Result<sql::QueryResult>(resolved.status());
   if (trace != nullptr) {
     trace->SetStatus(result.ok() ? "OK"
                                  : StatusCodeName(result.status().code()));
   }
   obs::ScopedSpan span(trace, obs::Stage::kSerialize);
-  FinalizeOutcome(result, intent, *ready.slot);
+  FinalizeOutcome(result, intent, slot);
 }
 
 void QueryServer::RecordRequestDone(PendingResponse& slot, int64_t end_ns) {
@@ -1140,12 +981,6 @@ std::string QueryServer::MetricsText() const {
           static_cast<double>(c.admitted));
   counter("themis_connections_accepted_total", "Accepted TCP connections.",
           static_cast<double>(c.accepted_connections));
-  counter("themis_micro_batches_formed_total",
-          "Pool tasks carrying >= 2 logical requests from one drain pass.",
-          static_cast<double>(c.batches_formed));
-  counter("themis_micro_batched_requests_total",
-          "Logical requests carried inside micro-batch tasks.",
-          static_cast<double>(c.batched_requests));
   // The response-byte-cache families are always exposed (zeros when the
   // cache is off) so dashboards and the CI smoke can rely on presence.
   counter("themis_responses_encoded_total",
@@ -1312,10 +1147,6 @@ ServerCounters QueryServer::counters() const {
       served_cancelled_.load(std::memory_order_relaxed);
   counters.rejected_overload =
       rejected_overload_.load(std::memory_order_relaxed);
-  counters.batches_formed =
-      batches_formed_.load(std::memory_order_relaxed);
-  counters.batched_requests =
-      batched_requests_.load(std::memory_order_relaxed);
   counters.inflight = inflight_.load(std::memory_order_acquire);
   counters.max_inflight = max_inflight_;
   counters.io_threads = num_io_threads_;

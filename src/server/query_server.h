@@ -48,12 +48,16 @@ HostStats HostStatsNow();
 /// Deadlines and cancellation: a request's `deadline_ms` wire field (or,
 /// absent that, its session's `set` default) starts its budget at
 /// admission; the serving layer threads a util::CancelToken through
-/// Catalog::Query into the executor shard loops, so an expired request
-/// unwinds cooperatively and answers kDeadlineExceeded instead of
-/// finishing the plan. A client that disconnects mid-query fires the
+/// HybridEvaluator::ExecutePlan into the executor shard loops, so an
+/// expired request unwinds cooperatively and answers kDeadlineExceeded
+/// instead of finishing the plan. A client that disconnects mid-query fires the
 /// same token and the abandoned work unwinds as kCancelled; cancelled
 /// queries never return partial aggregates — a token that does not fire
 /// leaves the answer bitwise identical to the in-process Query().
+///
+/// One route, one plan per request: a pool task resolves its query once
+/// (Catalog::Resolve), keys the response byte cache by that plan's
+/// fingerprint, and executes that plan.
 ///
 /// Admission control: at most ThemisOptions::max_inflight requests may be
 /// queued or executing on the pool across all connections; beyond that,
@@ -87,20 +91,6 @@ class QueryServer {
     /// the machine to the executor pool is the point.
     size_t io_threads = 0;
 
-    /// Adaptive micro-batching: when one epoll drain pass parses N>1
-    /// ready query requests (same wake-up, possibly across sessions),
-    /// submit them as ONE pool task through Catalog::QueryMany instead of
-    /// N Submits — amortizing pool handoff and letting duplicates inside
-    /// the batch coalesce. The policy never delays a lone request waiting
-    /// for peers: batching only triggers when the backlog already arrived
-    /// together, so unique-traffic latency is untouched.
-    bool enable_micro_batch = true;
-
-    /// Upper bound on one micro-batch; a drain pass with more ready
-    /// requests splits into several batch tasks so admission latency
-    /// stays bounded.
-    size_t micro_batch_max = 64;
-
     /// Wire-level response byte cache: the fully encoded one-line payload
     /// of memoizable OK answers, keyed by (relation, plan fingerprint,
     /// mode), serves repeats straight from the cached bytes on the I/O
@@ -121,17 +111,10 @@ class QueryServer {
     /// traces by end-to-end latency, surfaced via STATS. 0 disables it.
     size_t slow_query_log_k = 32;
 
-    /// Test-only: runs inside every admitted pool task (single request or
-    /// micro-batch) before the query executes. Lets tests hold slots open
-    /// deterministically (admission control, drain-on-shutdown, deadline
-    /// expiry) without timing races.
+    /// Test-only: runs inside every admitted pool task before the query
+    /// executes. Lets tests hold slots open deterministically (admission
+    /// control, drain-on-shutdown, deadline expiry) without timing races.
     std::function<void()> request_hook;
-
-    /// Test-only: runs at the top of every I/O event-loop iteration,
-    /// before epoll_wait. Lets tests park the loop while several sessions
-    /// send, so the next drain pass deterministically sees all of them at
-    /// once (cross-session micro-batch formation).
-    std::function<void()> loop_hook;
   };
 
   explicit QueryServer(const core::Catalog* catalog);
@@ -177,7 +160,6 @@ class QueryServer {
   struct PendingResponse;  // one FIFO slot: cancel token + response payload
   struct Session;          // one connection, owned by one I/O thread
   struct IoThread;         // epoll fd + wakeup + mailbox + sessions
-  struct ReadyRequest;     // one admitted request awaiting dispatch
   struct CacheIntent;      // one miss path's response-cache coordinates
 
   void IoLoop(size_t index);
@@ -201,29 +183,28 @@ class QueryServer {
 
   /// Admission control for one parsed line on the owning I/O thread:
   /// inline answers (stats, parse errors, overload rejections) enter the
-  /// FIFO already resolved; admitted requests get a cancel token and join
-  /// the drain pass's ready list for DispatchReady.
+  /// FIFO already resolved; each admitted request gets a cancel token and
+  /// leaves at once as one pool task (Submit).
   void HandleLine(IoThread& io, Session& session, const std::string& line);
 
-  /// End of one drain pass: submits the ready list to the pool. A lone
-  /// request (or any non-coalescable verb) takes the classic one-Submit
-  /// path; N>1 ready query requests become micro-batch tasks over
-  /// Catalog::QueryMany, bounded by Options::micro_batch_max.
-  void DispatchReady(IoThread& io);
-  void SubmitSingle(size_t io_index, ReadyRequest ready);
-  void SubmitBatch(size_t io_index, std::vector<ReadyRequest> batch);
+  /// Submits one admitted request to the pool; its response lands in
+  /// `slot` and its session is posted back to I/O thread `io_index`.
+  void Submit(size_t io_index, uint64_t session_id, WireRequest request,
+              std::shared_ptr<PendingResponse> slot);
 
   /// Executes one admitted request on the calling (pool) thread, leaving
-  /// the response payload in the request's FIFO slot (owned scratch bytes,
-  /// or a shared response-cache handle).
-  void ExecuteRequest(ReadyRequest& ready, obs::TraceContext* trace);
+  /// the response payload in `slot` (owned scratch bytes, or a shared
+  /// response-cache handle). A kQuery resolves once through
+  /// Catalog::Resolve — one route, one plan-cache probe — and its cache
+  /// intent is built from that plan before it executes.
+  void ExecuteRequest(const WireRequest& request, PendingResponse& slot,
+                      obs::TraceContext* trace);
 
-  /// Response-cache coordinates of one admitted kQuery, computed on the
-  /// pool thread *before* execution (route + plan-cache fingerprint +
-  /// generation snapshot); not eligible when the cache is off, the plan
-  /// has no fingerprint, or routing/planning fails (execution will answer
-  /// the error — errors are never cached).
-  CacheIntent PrepareCacheIntent(const WireRequest& request);
+  /// Response-cache coordinates of one resolved kQuery, taken *before*
+  /// execution (plan fingerprint + generation snapshot); not eligible
+  /// when the cache is off or the plan has no fingerprint.
+  CacheIntent MakeCacheIntent(const WireRequest& request,
+                              const core::Catalog::ResolvedQuery& resolved);
 
   /// Always-on per-request accounting at completion time: records the
   /// end-to-end latency histogram, and for traced requests flushes the
@@ -231,19 +212,17 @@ class QueryServer {
   /// the slow-query log.
   void RecordRequestDone(PendingResponse& slot, int64_t end_ns);
 
-  /// Per-logical-request bookkeeping shared by the single and micro-batch
-  /// paths: bumps served_ok / served_error (+ deadline/cancel tallies) and
-  /// leaves the response payload in `slot` — cached bytes when a coalesced
-  /// peer admitted them first (second-chance lookup), a fresh encode into
-  /// the slot's recycled scratch buffer otherwise (admitted to the cache
-  /// when `intent` is eligible and the relation's generation held).
+  /// Per-request bookkeeping: bumps served_ok / served_error (+
+  /// deadline/cancel tallies) and leaves the response payload in `slot` —
+  /// cached bytes when a coalesced peer admitted them first (second-chance
+  /// lookup), a fresh encode into the slot's recycled scratch buffer
+  /// otherwise (admitted to the cache when `intent` is eligible and the
+  /// relation's generation held).
   void FinalizeOutcome(const Result<sql::QueryResult>& result,
                        const CacheIntent& intent, PendingResponse& slot);
 
-  /// Posts completed session ids back to an I/O thread and releases the
-  /// per-request admission slots.
-  void PostCompletions(size_t io_index,
-                       const std::vector<uint64_t>& session_ids);
+  /// Posts a completed request's session id back to its I/O thread.
+  void PostCompletion(size_t io_index, uint64_t session_id);
 
   /// STATS verb: server counters + per-relation catalog stats, inline.
   std::string ExecuteStats();
@@ -296,10 +275,6 @@ class QueryServer {
   std::atomic<size_t> served_cancelled_{0};
   std::atomic<size_t> rejected_overload_{0};
   std::atomic<size_t> inflight_{0};
-  /// Micro-batch formation: batch tasks submitted (each covering >= 2
-  /// logical requests) and the logical requests they carried.
-  std::atomic<size_t> batches_formed_{0};
-  std::atomic<size_t> batched_requests_{0};
   /// Response payloads actually JSON-encoded (stays flat across
   /// byte-cache hits — the "zero EncodeResponse" proof counter).
   std::atomic<size_t> responses_encoded_{0};

@@ -13,8 +13,8 @@
 namespace themis::server {
 
 /// Byte-budgeted LRU over fully encoded wire response lines — the fourth
-/// (and cheapest) tier of the serving hot path, after single-flight,
-/// the plan->result memo, and the executor: a repeat of a memoizable OK
+/// (and cheapest) tier of the serving hot path, after the executor, the
+/// plan->result memo, and single-flight: a repeat of a memoizable OK
 /// answer is served from its exact cached bytes on the I/O thread, with
 /// no pool handoff and no JSON encoding. Payloads are immutable and
 /// refcounted (util::ImmutableBuffer), so a hit is one shared_ptr copy.

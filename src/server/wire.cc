@@ -385,8 +385,6 @@ JsonValue CountersToJson(const ServerCounters& counters) {
   set("served_deadline_exceeded", counters.served_deadline_exceeded);
   set("served_cancelled", counters.served_cancelled);
   set("rejected_overload", counters.rejected_overload);
-  set("batches_formed", counters.batches_formed);
-  set("batched_requests", counters.batched_requests);
   set("inflight", counters.inflight);
   set("max_inflight", counters.max_inflight);
   set("io_threads", counters.io_threads);
@@ -1056,9 +1054,6 @@ Result<ServerStats> DecodeStatsResponse(const std::string& line) {
     stats.server.served_cancelled = CounterFrom(*server, "served_cancelled");
     stats.server.rejected_overload =
         CounterFrom(*server, "rejected_overload");
-    stats.server.batches_formed = CounterFrom(*server, "batches_formed");
-    stats.server.batched_requests =
-        CounterFrom(*server, "batched_requests");
     stats.server.inflight = CounterFrom(*server, "inflight");
     stats.server.max_inflight = CounterFrom(*server, "max_inflight");
     stats.server.io_threads = CounterFrom(*server, "io_threads");

@@ -149,10 +149,8 @@ struct ServerCounters {
   size_t served_cancelled = 0;
   /// Requests bounced with ResourceExhausted by admission control.
   size_t rejected_overload = 0;
-  /// Adaptive micro-batching: pool tasks that carried >= 2 logical
-  /// requests from one epoll drain pass, and the logical requests they
-  /// carried (each still settles its own served_* / admission slot).
-  size_t batches_formed = 0;
+  /// Always 0: the server submits one pool task per request. Kept only
+  /// because perfbench's `server.batched_share` still reads it.
   size_t batched_requests = 0;
   /// Requests currently queued or executing on the pool.
   size_t inflight = 0;

@@ -383,8 +383,10 @@ TEST_F(ServerTest, StatsVerbExposesLiveCacheCounters) {
   ASSERT_EQ(stats->relations.size(), 3u);
   const core::RelationStats& flights = stats->relations.at("flights");
   EXPECT_TRUE(flights.built);
-  EXPECT_GE(flights.plan_cache_hits, 1u);
-  EXPECT_GE(flights.plan_cache_misses, 1u);
+  // One plan-cache probe per request that reached the pool: the miss
+  // planned once, and the byte-cached repeat never reached the planner.
+  EXPECT_EQ(flights.plan_cache_hits, 0u);
+  EXPECT_EQ(flights.plan_cache_misses, 1u);
   EXPECT_EQ(flights.result_memo.hits, 0u);
   EXPECT_EQ(flights.result_memo.misses, 1u);
   EXPECT_EQ(flights.result_memo.entries, 1u);
@@ -553,28 +555,16 @@ TEST_F(ServerTest, DisconnectMidQueryCancelsExecution) {
   server.Stop();
 }
 
-/// Micro-batching determinism: with the single I/O loop parked by a
-/// one-shot loop_hook while one session pipelines four queries, the
-/// first drain pass after release parses all four and submits them as
-/// ONE batch task (batches_formed == 1, batched_requests == 4) — and
+/// Pipelining: one session sends four queries before reading any answer;
 /// the responses come back in request order, bitwise identical to the
-/// per-request in-process answers.
-TEST_F(ServerTest, PipelinedBurstFormsOneMicroBatch) {
+/// per-request in-process answers, however the pool tasks interleave.
+TEST_F(ServerTest, PipelinedRequestsAnswerInOrder) {
   auto db = MakeDb(FastOptions(2));
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  auto first = std::make_shared<std::atomic<bool>>(true);
   QueryServer::Options options;
   options.io_threads = 1;
-  options.loop_hook = [released, first] {
-    if (first->exchange(false)) released.wait();
-  };
   QueryServer server(&db->catalog(), options);
   ASSERT_TRUE(server.Start().ok());
 
-  // The loop is parked before its first epoll_wait: the connection sits
-  // in the kernel backlog and all four lines buffer on the socket, so
-  // the drain pass after release sees every request at once.
   auto client = Client::Connect(server.port());
   ASSERT_TRUE(client.ok());
   const std::vector<std::string> sqls = {
@@ -586,7 +576,6 @@ TEST_F(ServerTest, PipelinedBurstFormsOneMicroBatch) {
   for (const std::string& sql : sqls) {
     ASSERT_TRUE(client->Send("{\"sql\": \"" + sql + "\"}").ok());
   }
-  release.set_value();
 
   for (const std::string& sql : sqls) {
     auto response = client->Receive();
@@ -597,62 +586,53 @@ TEST_F(ServerTest, PipelinedBurstFormsOneMicroBatch) {
     ASSERT_TRUE(expected.ok());
     ExpectBitwiseEqual(*decoded, *expected, sql);
   }
-  const ServerCounters counters = server.counters();
-  EXPECT_EQ(counters.batches_formed, 1u);
-  EXPECT_EQ(counters.batched_requests, 4u);
-  EXPECT_EQ(counters.served_ok, 4u);
+  EXPECT_EQ(server.counters().served_ok, 4u);
   server.Stop();
 }
 
-/// Requests from two *different* sessions parsed in the same drain pass
-/// also coalesce into one micro-batch: batching is per drain pass, not
-/// per connection. Both answers stay bitwise identical to the
-/// per-request in-process baseline.
-TEST_F(ServerTest, CrossSessionDrainFormsOneMicroBatch) {
+/// One plan per request: every served query, FROM-routed or pinned to its
+/// relation, probes that relation's plan cache exactly once — the byte
+/// cache's intent and the execution share one resolved plan. The texts
+/// are distinct per (relation field, SQL), so every request misses the
+/// inline byte-cache probe and reaches the pool.
+TEST_F(ServerTest, EachServedQueryPlansOnce) {
   auto db = MakeDb(FastOptions(2));
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  auto first = std::make_shared<std::atomic<bool>>(true);
-  QueryServer::Options options;
-  options.io_threads = 1;
-  options.loop_hook = [released, first] {
-    if (first->exchange(false)) released.wait();
-  };
-  QueryServer server(&db->catalog(), options);
+  QueryServer server(&db->catalog());
   ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect(server.port());
+  ASSERT_TRUE(client.ok());
 
-  // Both connections queue in the backlog while the loop is parked; the
-  // release's accept burst adopts both, and their already-buffered
-  // requests become readable in the same epoll wakeup.
-  auto a = Client::Connect(server.port());
-  ASSERT_TRUE(a.ok());
-  auto b = Client::Connect(server.port());
-  ASSERT_TRUE(b.ok());
-  const std::string sql_a = "SELECT date, COUNT(*) FROM flights GROUP BY date";
-  const std::string sql_b = "SELECT kind, COUNT(*) FROM shops GROUP BY kind";
-  ASSERT_TRUE(a->Send("{\"sql\": \"" + sql_a + "\"}").ok());
-  ASSERT_TRUE(b->Send("{\"sql\": \"" + sql_b + "\"}").ok());
-  release.set_value();
-
-  auto response_a = a->Receive();
-  ASSERT_TRUE(response_a.ok()) << response_a.status().ToString();
-  auto decoded_a = DecodeResultResponse(*response_a);
-  ASSERT_TRUE(decoded_a.ok()) << *response_a;
-  auto response_b = b->Receive();
-  ASSERT_TRUE(response_b.ok()) << response_b.status().ToString();
-  auto decoded_b = DecodeResultResponse(*response_b);
-  ASSERT_TRUE(decoded_b.ok()) << *response_b;
-  auto expected_a = db->Query(sql_a);
-  ASSERT_TRUE(expected_a.ok());
-  ExpectBitwiseEqual(*decoded_a, *expected_a, sql_a);
-  auto expected_b = db->Query(sql_b);
-  ASSERT_TRUE(expected_b.ok());
-  ExpectBitwiseEqual(*decoded_b, *expected_b, sql_b);
-
-  const ServerCounters counters = server.counters();
-  EXPECT_EQ(counters.batches_formed, 1u);
-  EXPECT_EQ(counters.batched_requests, 2u);
-  EXPECT_EQ(counters.served_ok, 2u);
+  const std::vector<std::string> sqls = {
+      "SELECT date, COUNT(*) FROM flights GROUP BY date",
+      "SELECT o_st, COUNT(*) FROM flights WHERE d_st = 'NY' GROUP BY o_st",
+      "SELECT COUNT(*) FROM flights WHERE o_st = 'FL' AND d_st = 'FL'",
+      "SELECT COUNT(*) FROM flights WHERE date <> '02'",
+  };
+  std::vector<sql::QueryResult> expected;
+  for (const std::string& sql : sqls) {
+    auto result = db->Query(sql);
+    ASSERT_TRUE(result.ok()) << sql;
+    expected.push_back(std::move(*result));
+  }
+  const auto lookups = [&db] {
+    auto stats = db->catalog().StatsFor("flights");
+    EXPECT_TRUE(stats.ok());
+    return stats->plan_cache_hits + stats->plan_cache_misses;
+  };
+  const size_t before = lookups();
+  size_t served = 0;
+  for (const std::string& relation : {std::string(), std::string("flights")}) {
+    for (size_t i = 0; i < sqls.size(); ++i) {
+      auto actual = client->Query(sqls[i], relation);
+      ASSERT_TRUE(actual.ok()) << sqls[i] << ": "
+                               << actual.status().ToString();
+      ExpectBitwiseEqual(*actual, expected[i], sqls[i]);
+      ++served;
+    }
+  }
+  // Every request missed the inline byte-cache probe and reached the pool.
+  EXPECT_EQ(server.counters().response_cache_misses, served);
+  EXPECT_EQ(lookups() - before, served);
   server.Stop();
 }
 
