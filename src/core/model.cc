@@ -45,6 +45,9 @@ Status Reweight(const ThemisOptions& options,
           rw.Reweight(sample, aggregates, population_size));
       stats.reweight_converged = rw.stats().converged;
       stats.reweight_iterations = rw.stats().iterations;
+      stats.reweight_max_violation = rw.stats().max_violation;
+      stats.reweight_empty_constraints = rw.stats().empty_constraints;
+      stats.reweight_empty_mass = rw.stats().empty_mass;
       return Status::OK();
     }
   }

@@ -26,6 +26,12 @@ struct BuildStats {
   double total_seconds = 0;
   bool reweight_converged = true;
   int reweight_iterations = 0;
+  /// IPF's final max relative constraint violation, and the aggregate
+  /// groups no sample tuple participates in with the sum of their targets
+  /// (reweight::IpfStats); zero for the other reweighters.
+  double reweight_max_violation = 0;
+  size_t reweight_empty_constraints = 0;
+  double reweight_empty_mass = 0;
   size_t aggregates_used = 0;
 };
 

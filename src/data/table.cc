@@ -48,15 +48,6 @@ TupleKey Table::KeyFor(size_t row, const std::vector<size_t>& attrs) const {
   return key;
 }
 
-std::unordered_map<TupleKey, std::vector<size_t>, TupleKeyHash>
-Table::GroupRows(const std::vector<size_t>& attrs) const {
-  std::unordered_map<TupleKey, std::vector<size_t>, TupleKeyHash> groups;
-  for (size_t r = 0; r < num_rows_; ++r) {
-    groups[KeyFor(r, attrs)].push_back(r);
-  }
-  return groups;
-}
-
 std::unordered_map<TupleKey, double, TupleKeyHash> Table::GroupWeights(
     const std::vector<size_t>& attrs) const {
   std::unordered_map<TupleKey, double, TupleKeyHash> groups;

@@ -63,12 +63,6 @@ class Table {
   /// Key of `row` restricted to `attrs` (attribute indices).
   TupleKey KeyFor(size_t row, const std::vector<size_t>& attrs) const;
 
-  /// Group-by over `attrs`: maps each distinct key to the row ids in that
-  /// group. This is the workhorse behind aggregate computation, incidence
-  /// matrix construction, and sample-membership tests.
-  std::unordered_map<TupleKey, std::vector<size_t>, TupleKeyHash> GroupRows(
-      const std::vector<size_t>& attrs) const;
-
   /// Group-by over `attrs` summing weights per group (COUNT(*) semantics on
   /// a weighted table).
   std::unordered_map<TupleKey, double, TupleKeyHash> GroupWeights(

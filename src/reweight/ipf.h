@@ -1,6 +1,8 @@
 #ifndef THEMIS_REWEIGHT_IPF_H_
 #define THEMIS_REWEIGHT_IPF_H_
 
+#include <cstddef>
+
 #include "reweight/reweighter.h"
 
 namespace themis::reweight {
@@ -12,17 +14,16 @@ struct IpfOptions {
   /// Relative satisfaction tolerance: converged when every constraint j
   /// has |G[j]·w − y[j]| ≤ tolerance · max(1, y[j]).
   double tolerance = 1e-8;
-  /// When true (default off), sum-normalize the final weights to the
-  /// population size. The raw IPF fixed point already matches each
-  /// aggregate's total when a feasible scaling exists, so this is off by
-  /// default to preserve exact marginal satisfaction.
-  bool sum_normalize = false;
 };
 
 struct IpfStats {
   int iterations = 0;       ///< sweeps actually performed
   bool converged = false;   ///< all constraints satisfied within tolerance
   double max_violation = 0; ///< final max relative constraint violation
+  /// Aggregate groups no sample tuple participates in: no weighting can
+  /// meet them (the missing tuples of Example 4.2), and IPF skips them.
+  size_t empty_constraints = 0;
+  double empty_mass = 0;  ///< the sum of those groups' targets
 };
 
 /// Iterative Proportional Fitting (Sec 4.1.2, Alg 1): treats every tuple
@@ -30,6 +31,15 @@ struct IpfStats {
 /// unsatisfied aggregate group in turn until all constraints hold (or the
 /// iteration budget is exhausted — e.g. when the sample is missing tuples,
 /// Example 4.2, in which case the approximate weights are still returned).
+///
+/// The weights and stats equal those of Alg 1's group-at-a-time loop bit
+/// for bit. Each sweep walks the incidence system's passes (IncidencePass):
+/// the groups of a pass have disjoint tuples, so one pass sums every
+/// group with interleaved add chains (BinaryCsrMatrix::RowDots), then
+/// scales the weights in tuple order by their group's factor, 1.0 for a
+/// skipped group. The convergence test stops at the first pass holding a
+/// constraint over tolerance; only a sweep that converges, or the last
+/// one, computes the full max_violation.
 class IpfReweighter : public Reweighter {
  public:
   explicit IpfReweighter(IpfOptions options = {}) : options_(options) {}

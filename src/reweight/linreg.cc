@@ -66,7 +66,8 @@ Status LinRegReweighter::Reweight(data::Table& sample,
   OneHotLayout layout(schema, aggregates.CoveredAttributes());
 
   linalg::Matrix xs = BuildOneHot(sample, layout);
-  IncidenceSystem sys = BuildIncidence(sample, aggregates);
+  THEMIS_ASSIGN_OR_RETURN(IncidenceSystem sys,
+                          BuildIncidence(sample, aggregates));
   linalg::Matrix design = sys.g.MultiplyDense(xs);
 
   // Drop all-zero rows (groups with no sample participants) along with

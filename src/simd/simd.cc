@@ -75,10 +75,15 @@ void GatherNumericScalar(const int32_t* col, const uint32_t* sel,
   for (size_t i = 0; i < n; ++i) out[i] = table[col[sel[i]]];
 }
 
+void ScaleByIndexScalar(const double* factor, const uint32_t* idx, size_t n,
+                        double* w) {
+  for (size_t i = 0; i < n; ++i) w[i] *= factor[idx[i]];
+}
+
 constexpr Kernels kScalarKernels = {
     Backend::kScalar,     FilterScanScalar,    FilterCompactScalar,
     GatherPackScalar,     GatherCodesScalar,   TranslateCodesScalar,
-    GatherDoublesScalar,  GatherNumericScalar,
+    GatherDoublesScalar,  GatherNumericScalar, ScaleByIndexScalar,
 };
 
 }  // namespace

@@ -16,13 +16,15 @@ enum class Backend { kScalar = 0, kSse4 = 1, kAvx2 = 2 };
 /// byte table); callers must pad their match tables accordingly.
 inline constexpr size_t kMatchPadBytes = 4;
 
-/// The vectorized inner-loop kernels of the code-native executor, as a
-/// table of function pointers bound to one backend. Every kernel moves or
-/// compares integers / copies doubles bit-for-bit — no kernel performs
-/// float arithmetic — so each backend's output is bitwise identical to
-/// the scalar table's by construction; tests/simd_test.cc proves it on
-/// adversarial inputs and executor_diff_test proves the end-to-end
-/// contract simd == scalar == reference.
+/// The vectorized inner-loop kernels of the code-native executor and of
+/// IPF's scale step, as a table of function pointers bound to one
+/// backend. Every kernel moves or compares integers / copies doubles
+/// bit-for-bit, except ScaleByIndex, whose one float operation per element
+/// is a single correctly rounded IEEE multiply that every backend rounds
+/// alike — so each backend's output is bitwise identical to the scalar
+/// table's by construction; tests/simd_test.cc proves it on adversarial
+/// inputs and executor_diff_test proves the end-to-end contract simd ==
+/// scalar == reference.
 ///
 /// Common contracts: `sel` holds row ids valid for every indexed array;
 /// row ids and codes must be < 2^31 (the AVX2 gathers take signed 32-bit
@@ -67,6 +69,11 @@ struct Kernels {
   /// lookup); every gathered code must be a valid table index.
   void (*GatherNumeric)(const int32_t* col, const uint32_t* sel,
                         const double* table, size_t n, double* out);
+
+  /// w[i] *= factor[idx[i]] for i in [0, n); every idx[i] must be a valid
+  /// factor index (IPF's per-tuple group ids into its per-group factors).
+  void (*ScaleByIndex)(const double* factor, const uint32_t* idx, size_t n,
+                       double* w);
 };
 
 /// Wire/log name of a backend: "scalar", "sse4", "avx2".

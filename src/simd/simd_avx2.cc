@@ -205,10 +205,26 @@ void GatherNumericAvx2(const int32_t* col, const uint32_t* sel,
   for (; i < n; ++i) out[i] = table[col[sel[i]]];
 }
 
+void ScaleByIndexAvx2(const double* factor, const uint32_t* idx, size_t n,
+                      double* w) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256d lo = GatherPd(
+        factor, _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i)));
+    const __m256d hi = GatherPd(
+        factor,
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i + 4)));
+    _mm256_storeu_pd(w + i, _mm256_mul_pd(_mm256_loadu_pd(w + i), lo));
+    _mm256_storeu_pd(w + i + 4,
+                     _mm256_mul_pd(_mm256_loadu_pd(w + i + 4), hi));
+  }
+  for (; i < n; ++i) w[i] *= factor[idx[i]];
+}
+
 constexpr Kernels kAvx2Kernels = {
     Backend::kAvx2,     FilterScanAvx2,    FilterCompactAvx2,
     GatherPackAvx2,     GatherCodesAvx2,   TranslateCodesAvx2,
-    GatherDoublesAvx2,  GatherNumericAvx2,
+    GatherDoublesAvx2,  GatherNumericAvx2, ScaleByIndexAvx2,
 };
 
 }  // namespace

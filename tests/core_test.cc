@@ -197,6 +197,14 @@ TEST_F(Example31Test, BuildStatsPopulated) {
   ASSERT_TRUE(model.ok());
   EXPECT_EQ(model->build_stats().aggregates_used, 2u);
   EXPECT_GE(model->build_stats().reweight_seconds, 0.0);
+  // IPF's stats reach BuildStats: four (o_st, d_st) groups hold 4 of the
+  // 10 flights and have no sample tuple (Example 4.2's missing tuples),
+  // so IPF never converges and keeps a residual.
+  const BuildStats& stats = model->build_stats();
+  EXPECT_EQ(stats.reweight_empty_constraints, 4u);
+  EXPECT_DOUBLE_EQ(stats.reweight_empty_mass, 4.0);
+  EXPECT_FALSE(stats.reweight_converged);
+  EXPECT_GT(stats.reweight_max_violation, 0.01);
 }
 
 TEST_F(Example31Test, ThemisDbEndToEnd) {
@@ -394,6 +402,9 @@ TEST_F(ParallelBuildTest, BitwiseIdenticalAtEveryPoolSize) {
     EXPECT_EQ(a.aggregates_used, b.aggregates_used);
     EXPECT_EQ(a.reweight_iterations, b.reweight_iterations);
     EXPECT_EQ(a.reweight_converged, b.reweight_converged);
+    EXPECT_EQ(a.reweight_max_violation, b.reweight_max_violation);
+    EXPECT_EQ(a.reweight_empty_constraints, b.reweight_empty_constraints);
+    EXPECT_EQ(a.reweight_empty_mass, b.reweight_empty_mass);
     EXPECT_GT(a.total_seconds, 0.0);
     EXPECT_LE(a.prune_seconds, a.total_seconds);
     EXPECT_LE(a.reweight_seconds, a.total_seconds);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "linalg/cholesky.h"
 #include "linalg/csr_matrix.h"
@@ -205,10 +207,8 @@ TEST(NnlsTest, DimensionMismatchFails) {
 }
 
 TEST(BinaryCsrTest, RowAccessAndMatVec) {
-  BinaryCsrMatrix g(4);
-  g.AppendRow({0, 1, 3});
-  g.AppendRow({2});
-  g.AppendRow({});
+  // Rows {0, 1, 3}, {2} and {}.
+  BinaryCsrMatrix g(4, {0, 3, 4, 4}, {0, 1, 3, 2});
   EXPECT_EQ(g.rows(), 3u);
   EXPECT_EQ(g.nonzeros(), 4u);
   Vector w = {1, 2, 3, 4};
@@ -220,15 +220,52 @@ TEST(BinaryCsrTest, RowAccessAndMatVec) {
 }
 
 TEST(BinaryCsrTest, MultiplyDense) {
-  BinaryCsrMatrix g(3);
-  g.AppendRow({0, 2});
-  g.AppendRow({1});
+  BinaryCsrMatrix g(3, {0, 2, 3}, {0, 2, 1});
   Matrix x = Matrix::FromRows({{1, 2}, {3, 4}, {5, 6}});
   Matrix p = g.MultiplyDense(x);
   EXPECT_DOUBLE_EQ(p(0, 0), 6.0);
   EXPECT_DOUBLE_EQ(p(0, 1), 8.0);
   EXPECT_DOUBLE_EQ(p(1, 0), 3.0);
   EXPECT_DOUBLE_EQ(p(1, 1), 4.0);
+}
+
+/// RowDots runs up to eight add chains side by side; each row's sum must
+/// still equal RowDot's serial chain bit for bit, whatever the row lengths
+/// (empty rows included) and whatever order the rows are listed in.
+TEST(BinaryCsrTest, RowDotsMatchesRowDotBitwise) {
+  Rng rng(7);
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t cols = 1 + static_cast<size_t>(rng.UniformInt(0, 400));
+    const size_t rows = static_cast<size_t>(rng.UniformInt(0, 30));
+    std::vector<size_t> row_ptr = {0};
+    std::vector<uint32_t> col_idx;
+    for (size_t r = 0; r < rows; ++r) {
+      const int64_t len =
+          rng.UniformInt(0, 3) == 0 ? 0 : rng.UniformInt(0, 500);
+      for (int64_t k = 0; k < len; ++k) {
+        col_idx.push_back(static_cast<uint32_t>(
+            rng.UniformInt(0, static_cast<int64_t>(cols) - 1)));
+      }
+      row_ptr.push_back(col_idx.size());
+    }
+    BinaryCsrMatrix g(cols, row_ptr, col_idx);
+    Vector x(cols);
+    for (double& v : x) {
+      v = std::ldexp(rng.UniformDouble(), static_cast<int>(rng.UniformInt(-30, 30)));
+    }
+    std::vector<uint32_t> listed;
+    for (size_t r = 0; r < rows; ++r) {
+      if (rng.UniformInt(0, 4) != 0) listed.push_back(static_cast<uint32_t>(r));
+    }
+    std::shuffle(listed.begin(), listed.end(), rng.engine());
+    Vector out(rows, -1.0);
+    g.RowDots(listed, x, out.data());
+    for (uint32_t r : listed) {
+      const double want = g.RowDot(r, x);
+      EXPECT_EQ(std::memcmp(&out[r], &want, sizeof(double)), 0)
+          << "trial " << trial << " row " << r;
+    }
+  }
 }
 
 /// Property sweep: NNLS solutions are always non-negative and never worse

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "reweight/incidence.h"
 #include "reweight/ipf.h"
 #include "reweight/linreg.h"
 #include "reweight/uniform.h"
+#include "util/random.h"
 #include "workload/flights.h"
 #include "workload/sampler.h"
 
@@ -48,7 +53,9 @@ struct Example {
 
 TEST(IncidenceTest, MatchesExample41) {
   Example ex;
-  IncidenceSystem sys = BuildIncidence(ex.sample, ex.aggregates);
+  auto built = BuildIncidence(ex.sample, ex.aggregates);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const IncidenceSystem& sys = *built;
   // 2 date groups + 7 (o_st, d_st) groups = 9 rows over 4 tuples.
   ASSERT_EQ(sys.g.rows(), 9u);
   EXPECT_EQ(sys.g.cols(), 4u);
@@ -57,14 +64,41 @@ TEST(IncidenceTest, MatchesExample41) {
   EXPECT_DOUBLE_EQ(sys.y[0], 5.0);
   EXPECT_DOUBLE_EQ(sys.y[1], 5.0);
   // date=01 row touches sample tuples {0, 1, 3}; date=02 touches {2}.
-  linalg::Vector ones(4, 1.0);
-  EXPECT_DOUBLE_EQ(sys.g.RowDot(0, ones), 3.0);
-  EXPECT_DOUBLE_EQ(sys.g.RowDot(1, ones), 1.0);
+  EXPECT_EQ(std::vector<uint32_t>(sys.g.Row(0).begin(), sys.g.Row(0).end()),
+            (std::vector<uint32_t>{0, 1, 3}));
+  EXPECT_EQ(std::vector<uint32_t>(sys.g.Row(1).begin(), sys.g.Row(1).end()),
+            (std::vector<uint32_t>{2}));
   // (FL,FL) count 2 touches {0,1}; (FL,NY) count 1 touches nobody.
   EXPECT_DOUBLE_EQ(sys.y[2], 2.0);
-  EXPECT_DOUBLE_EQ(sys.g.RowDot(2, ones), 2.0);
+  EXPECT_EQ(sys.g.Row(2).size(), 2u);
   EXPECT_DOUBLE_EQ(sys.y[3], 1.0);
   EXPECT_TRUE(sys.g.Row(3).empty());
+  // One pass per aggregate; each tuple's group id within it.
+  ASSERT_EQ(sys.passes.size(), 2u);
+  EXPECT_EQ(sys.passes[0].first_row, 0u);
+  EXPECT_EQ(sys.passes[0].num_groups, 2u);
+  EXPECT_EQ(sys.passes[0].group_of, (std::vector<uint32_t>{0, 0, 1, 0}));
+  EXPECT_EQ(sys.passes[1].first_row, 2u);
+  EXPECT_EQ(sys.passes[1].num_groups, 7u);
+}
+
+TEST(IncidenceTest, RepeatedKeyStartsANewPass) {
+  // date=01 published twice: the second copy is its own pass, so Alg 1
+  // still sees it after date=01's first copy, in the same order.
+  Example ex;
+  aggregate::AggregateSpec spec = aggregate::ComputeAggregate(ex.population, {0});
+  spec.groups.push_back(spec.groups[0]);
+  spec.groups.push_back(spec.groups[1]);
+  aggregate::AggregateSet aggregates(ex.schema);
+  aggregates.Add(spec);
+  auto sys = BuildIncidence(ex.sample, aggregates);
+  ASSERT_TRUE(sys.ok());
+  ASSERT_EQ(sys->passes.size(), 2u);
+  EXPECT_EQ(sys->passes[0].num_groups, 2u);
+  EXPECT_EQ(sys->passes[1].first_row, 2u);
+  EXPECT_EQ(sys->passes[1].num_groups, 2u);
+  EXPECT_EQ(sys->passes[1].group_of, (std::vector<uint32_t>{0, 0, 1, 0}));
+  EXPECT_EQ(sys->g.Row(2).size(), 3u);
 }
 
 TEST(UniformTest, EqualWeightsSummingToN) {
@@ -117,6 +151,16 @@ TEST(IpfTest, DoesNotConvergeOnExample42) {
   }
 }
 
+TEST(IpfTest, ReportsEmptyConstraintsOfExample41) {
+  // Four (o_st, d_st) groups — (FL,NY), (NC,FL), (NY,FL), (NY,NY) — have
+  // no sample tuple; they hold 4 of the 10 flights.
+  Example ex;
+  IpfReweighter rw;
+  ASSERT_TRUE(rw.Reweight(ex.sample, ex.aggregates, 10.0).ok());
+  EXPECT_EQ(rw.stats().empty_constraints, 4u);
+  EXPECT_DOUBLE_EQ(rw.stats().empty_mass, 4.0);
+}
+
 TEST(IpfTest, ConvergesOnFeasibleSystem) {
   // Sample = population: every aggregate is exactly satisfiable with
   // weights of one... but IPF must also converge from a perturbed start.
@@ -125,10 +169,11 @@ TEST(IpfTest, ConvergesOnFeasibleSystem) {
   IpfReweighter rw;
   ASSERT_TRUE(rw.Reweight(full, ex.aggregates, 10.0).ok());
   EXPECT_TRUE(rw.stats().converged);
-  IncidenceSystem sys = BuildIncidence(full, ex.aggregates);
-  for (size_t j = 0; j < sys.g.rows(); ++j) {
-    if (sys.g.Row(j).empty()) continue;
-    EXPECT_NEAR(sys.g.RowDot(j, full.weights()), sys.y[j], 1e-6);
+  auto sys = BuildIncidence(full, ex.aggregates);
+  ASSERT_TRUE(sys.ok());
+  for (size_t j = 0; j < sys->g.rows(); ++j) {
+    if (sys->g.Row(j).empty()) continue;
+    EXPECT_NEAR(sys->g.RowDot(j, full.weights()), sys->y[j], 1e-6);
   }
 }
 
@@ -158,6 +203,239 @@ TEST(IpfTest, EmptySampleFails) {
   data::Table empty(ex.schema);
   IpfReweighter rw;
   EXPECT_FALSE(rw.Reweight(empty, ex.aggregates, 10.0).ok());
+}
+
+/// Alg 1 one group at a time: each group's tuples found by comparing every
+/// tuple's key, each sum one serial chain in ascending tuple order, and
+/// every constraint re-summed for the convergence test after each sweep.
+/// This is the loop IpfReweighter ran before its pass-wise sweep, kept as
+/// the bitwise oracle for it.
+struct OracleIpf {
+  std::vector<double> weights;
+  IpfStats stats;
+
+  OracleIpf(const data::Table& sample,
+            const aggregate::AggregateSet& aggregates,
+            const IpfOptions& options) {
+    std::vector<std::vector<size_t>> members;
+    std::vector<double> y;
+    for (const aggregate::AggregateSpec& spec : aggregates.specs()) {
+      for (const auto& [key, count] : spec.groups) {
+        std::vector<size_t>& rows = members.emplace_back();
+        for (size_t t = 0; t < sample.num_rows(); ++t) {
+          if (sample.KeyFor(t, spec.attrs) == key) rows.push_back(t);
+        }
+        y.push_back(count);
+        if (rows.empty()) {
+          ++stats.empty_constraints;
+          stats.empty_mass += count;
+        }
+      }
+    }
+    weights.assign(sample.num_rows(), 1.0);
+    std::vector<double>& w = weights;
+    const auto row_dot = [&](size_t j) {
+      double s = 0;
+      for (size_t c : members[j]) s += w[c];
+      return s;
+    };
+    for (int iter = 0; iter < options.max_iterations; ++iter) {
+      for (size_t j = 0; j < members.size(); ++j) {
+        if (members[j].empty()) continue;
+        const double got = row_dot(j);
+        const double want = y[j];
+        if (got == want) continue;
+        if (got <= 0.0) continue;
+        const double s = want / got;
+        for (size_t c : members[j]) w[c] *= s;
+      }
+      stats.iterations = iter + 1;
+      double worst = 0;
+      for (size_t j = 0; j < members.size(); ++j) {
+        if (members[j].empty()) continue;
+        worst = std::max(worst, std::abs(row_dot(j) - y[j]) /
+                                    std::max(1.0, std::abs(y[j])));
+      }
+      stats.max_violation = worst;
+      if (worst <= options.tolerance) {
+        stats.converged = true;
+        break;
+      }
+    }
+  }
+};
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Runs IpfReweighter and the oracle on one system and asserts bitwise
+/// equal weights and stats; returns the stats for case-specific checks.
+IpfStats ExpectMatchesOracle(const data::Table& sample,
+                             const aggregate::AggregateSet& aggregates,
+                             const IpfOptions& options) {
+  const OracleIpf oracle(sample, aggregates, options);
+  data::Table s = sample.Clone();
+  IpfReweighter rw(options);
+  EXPECT_TRUE(rw.Reweight(s, aggregates, 1000.0).ok());
+  const IpfStats& got = rw.stats();
+  EXPECT_EQ(got.iterations, oracle.stats.iterations);
+  EXPECT_EQ(got.converged, oracle.stats.converged);
+  EXPECT_TRUE(SameBits(got.max_violation, oracle.stats.max_violation))
+      << got.max_violation << " vs " << oracle.stats.max_violation;
+  EXPECT_EQ(got.empty_constraints, oracle.stats.empty_constraints);
+  EXPECT_TRUE(SameBits(got.empty_mass, oracle.stats.empty_mass));
+  size_t differing = 0;
+  for (size_t t = 0; t < s.num_rows(); ++t) {
+    differing += SameBits(s.weight(t), oracle.weights[t]) ? 0 : 1;
+  }
+  EXPECT_EQ(differing, 0u) << "of " << s.num_rows() << " weights";
+  return got;
+}
+
+/// A seeded random system: a population over four small attributes (codes
+/// include kNullCode), a sample drawn from a skewed slice of it, and 1-4
+/// aggregates over random attribute sets whose targets are perturbed,
+/// sometimes zeroed, sometimes set to the sample's own count (already met
+/// on the first sweep), with a key sometimes published twice.
+struct RandomSystem {
+  data::SchemaPtr schema = std::make_shared<data::Schema>();
+  data::Table sample{schema};
+  aggregate::AggregateSet aggregates;
+
+  explicit RandomSystem(uint64_t seed) {
+    Rng rng(seed);
+    const size_t num_attrs = 4;
+    std::vector<int64_t> domain;
+    for (size_t a = 0; a < num_attrs; ++a) {
+      domain.push_back(rng.UniformInt(2, 6));
+      std::vector<std::string> labels;
+      for (int64_t v = 0; v < domain[a]; ++v) {
+        labels.push_back("v" + std::to_string(v));
+      }
+      schema->AddAttribute("a" + std::to_string(a), labels);
+    }
+    data::Table population(schema);
+    sample = data::Table(schema);
+    const int64_t pop_rows = rng.UniformInt(20, 400);
+    for (int64_t r = 0; r < pop_rows; ++r) {
+      std::vector<data::ValueCode> codes;
+      for (size_t a = 0; a < num_attrs; ++a) {
+        codes.push_back(rng.UniformInt(0, 19) == 0
+                            ? data::kNullCode
+                            : static_cast<data::ValueCode>(
+                                  rng.UniformInt(0, domain[a] - 1)));
+      }
+      population.AppendRow(codes);
+      // Biased sample: attribute 0's top value is never sampled, so some
+      // groups are empty.
+      if (codes[0] != domain[0] - 1 && rng.UniformInt(0, 2) == 0) {
+        sample.AppendRow(codes);
+      }
+    }
+    if (sample.num_rows() == 0) sample.AppendRow({0, 0, 0, 0});
+    aggregates = aggregate::AggregateSet(schema);
+    const int64_t num_aggs = rng.UniformInt(1, 4);
+    for (int64_t i = 0; i < num_aggs; ++i) {
+      std::vector<size_t> attrs;
+      for (size_t a = 0; a < num_attrs; ++a) {
+        if (rng.UniformInt(0, 1) == 0) attrs.push_back(a);
+      }
+      if (attrs.empty()) attrs.push_back(static_cast<size_t>(i) % num_attrs);
+      aggregate::AggregateSpec spec =
+          aggregate::ComputeAggregate(population, attrs);
+      for (auto& [key, count] : spec.groups) {
+        const int64_t kind = rng.UniformInt(0, 9);
+        if (kind == 0) {
+          count = 0;  // Alg 1's got <= 0 skip after the first sweep
+        } else if (kind == 1) {
+          count = 0;  // the sample's own count: met before any rescaling
+          for (size_t t = 0; t < sample.num_rows(); ++t) {
+            count += sample.KeyFor(t, attrs) == key ? 1 : 0;
+          }
+        } else if (kind <= 3) {
+          count *= 1.0 + rng.UniformDouble(-0.3, 0.3);
+        }
+      }
+      if (rng.UniformInt(0, 2) == 0) {
+        const size_t k = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(spec.groups.size()) - 1));
+        auto repeat = spec.groups[k];
+        repeat.second *= 1.5;
+        spec.groups.insert(
+            spec.groups.begin() +
+                rng.UniformInt(0, static_cast<int64_t>(spec.groups.size())),
+            repeat);
+      }
+      aggregates.Add(std::move(spec));
+    }
+  }
+};
+
+TEST(IpfDifferentialTest, RandomSystemsMatchTheOracleBitwise) {
+  size_t converged = 0;
+  size_t with_empty = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RandomSystem system(seed);
+    for (int max_iterations : {0, 1, 2, 7, 60}) {
+      for (double tolerance : {1e-8, 1e-2}) {
+        IpfOptions options;
+        options.max_iterations = max_iterations;
+        options.tolerance = tolerance;
+        const IpfStats stats =
+            ExpectMatchesOracle(system.sample, system.aggregates, options);
+        converged += stats.converged ? 1 : 0;
+        with_empty += stats.empty_constraints > 0 ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(converged, 0u);
+  EXPECT_GT(with_empty, 0u);
+}
+
+TEST(IpfDifferentialTest, ConvergesMidRunLikeTheOracle) {
+  // Sample = population and exact aggregates: a feasible system that
+  // converges after a few sweeps, well inside the budget.
+  Example ex;
+  data::Table full = ex.population.Clone();
+  IpfOptions options;
+  options.max_iterations = 50;
+  const IpfStats stats = ExpectMatchesOracle(full, ex.aggregates, options);
+  EXPECT_TRUE(stats.converged);
+  EXPECT_LT(stats.iterations, 50);
+}
+
+TEST(IpfDifferentialTest, NeverConvergesLikeTheOracle) {
+  // Example 4.2: the sample misses tuples, so every sweep runs.
+  Example ex;
+  IpfOptions options;
+  options.max_iterations = 40;
+  const IpfStats stats = ExpectMatchesOracle(ex.sample, ex.aggregates, options);
+  EXPECT_FALSE(stats.converged);
+  EXPECT_EQ(stats.iterations, 40);
+  EXPECT_EQ(stats.empty_constraints, 4u);
+}
+
+TEST(IpfDifferentialTest, BiasedFlightsSampleMatchesTheOracle) {
+  // A realistic size: groups of hundreds of tuples exercise every lane
+  // width of the interleaved sums.
+  workload::FlightsConfig config;
+  config.num_rows = 6000;
+  data::Table population = workload::GenerateFlights(config);
+  auto sample = workload::MakeFlightsSample(population, "Corners", 0.1, 23);
+  ASSERT_TRUE(sample.ok());
+  aggregate::AggregateSet aggregates(population.schema());
+  aggregates.Add(aggregate::ComputeAggregate(
+      population, {workload::FlightsAttrs::kOrigin}));
+  aggregates.Add(aggregate::ComputeAggregate(
+      population, {workload::FlightsAttrs::kDate}));
+  aggregates.Add(aggregate::ComputeAggregate(
+      population,
+      {workload::FlightsAttrs::kOrigin, workload::FlightsAttrs::kDest}));
+  IpfOptions options;
+  options.max_iterations = 25;
+  ExpectMatchesOracle(*sample, aggregates, options);
 }
 
 TEST(LinRegTest, WeightsPositiveAndNormalized) {

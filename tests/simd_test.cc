@@ -8,8 +8,11 @@
 // probed cache topology feeding the shard policy.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -211,6 +214,37 @@ TEST(SimdKernelTest, GatherAndTranslateMatchScalar) {
       kernels.GatherNumeric(col.data(), sel.data(), numeric.data(), n,
                             act_v.data());
       ASSERT_EQ(act_v, exp_v) << BackendName(backend) << " n=" << n;
+    }
+  }
+}
+
+TEST(SimdKernelTest, ScaleByIndexMatchesScalarBitwise) {
+  // Weights and factors that stress rounding: subnormals, signed zeros,
+  // infinities, NaN, products that overflow or underflow, and an exact 1.0.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> factors = {
+      1.0,   0.0,      -0.0,    kInf,   std::nan(""), 1e-310, 3.0 / 7.0,
+      1e300, 1 - 1e-16, 0.5,    1e-300, 7.0 / 3.0};
+  const std::vector<double> values = {
+      1.0,  -0.0, 0.0,    1e-320, 5e-324, kInf, std::nan(""), 1e300,
+      1e-300, 0.1, 1.0 / 3.0, 123456.789};
+  for (const Backend backend : SupportedBackends()) {
+    const Kernels& kernels = KernelsFor(backend);
+    const Kernels& scalar = ScalarKernels();
+    for (size_t n : AdversarialLengths()) {
+      std::vector<uint32_t> idx(n);
+      std::vector<double> expect(n + 1, -1.0);
+      for (size_t i = 0; i < n; ++i) {
+        idx[i] = static_cast<uint32_t>((i * 7 + 3) % factors.size());
+        expect[i] = values[(i * 5 + 1) % values.size()];
+      }
+      std::vector<double> actual = expect;
+      scalar.ScaleByIndex(factors.data(), idx.data(), n, expect.data());
+      kernels.ScaleByIndex(factors.data(), idx.data(), n, actual.data());
+      ASSERT_EQ(std::memcmp(actual.data(), expect.data(),
+                            actual.size() * sizeof(double)),
+                0)
+          << BackendName(backend) << " n=" << n;
     }
   }
 }
