@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 
+#include "data/csv.h"
 #include "util/string_util.h"
 
 namespace themis::aggregate {
@@ -28,13 +29,12 @@ Status WriteAggregateCsv(const AggregateSpec& spec,
 
 Result<AggregateSpec> ReadAggregateCsv(data::Schema& schema,
                                        const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open '" + path + "' for read");
-  std::string line;
-  if (!std::getline(in, line)) {
+  THEMIS_ASSIGN_OR_RETURN(data::CsvParser csv, data::CsvParser::Open(path));
+  if (!csv.Next(/*skip_blank=*/false)) {
+    THEMIS_RETURN_IF_ERROR(csv.status());
     return Status::ParseError("empty aggregate file '" + path + "'");
   }
-  std::vector<std::string> header = SplitCsvLine(line);
+  const std::vector<std::string_view> header = csv.fields();
   if (header.size() < 2 || Trim(header.back()) != "count") {
     return Status::ParseError(
         "aggregate CSV header must be attr[,attr...],count");
@@ -57,30 +57,26 @@ Result<AggregateSpec> ReadAggregateCsv(data::Schema& schema,
   }
   spec.attrs = sorted;
 
-  size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (Trim(line).empty()) continue;
-    std::vector<std::string> fields = SplitCsvLine(line);
+  while (csv.Next()) {
+    const std::vector<std::string_view>& fields = csv.fields();
     if (fields.size() != header.size()) {
       return Status::ParseError(
           StrFormat("'%s' line %zu: expected %zu fields, got %zu",
-                    path.c_str(), line_no, header.size(), fields.size()));
+                    path.c_str(), csv.line(), header.size(), fields.size()));
     }
     data::TupleKey key(file_attrs.size());
     for (size_t i = 0; i < file_attrs.size(); ++i) {
-      key[positions[i]] = schema.domain(file_attrs[i])
-                              .Intern(std::string(Trim(fields[i])));
+      key[positions[i]] = schema.domain(file_attrs[i]).Intern(Trim(fields[i]));
     }
-    char* end = nullptr;
-    const double count = std::strtod(fields.back().c_str(), &end);
-    if (end == fields.back().c_str() || count < 0) {
+    double count = 0;
+    if (!data::ParseCsvNumber(fields.back(), &count) || count < 0) {
       return Status::ParseError(StrFormat("'%s' line %zu: bad count '%s'",
-                                          path.c_str(), line_no,
-                                          fields.back().c_str()));
+                                          path.c_str(), csv.line(),
+                                          std::string(fields.back()).c_str()));
     }
     spec.groups.emplace_back(std::move(key), count);
   }
+  THEMIS_RETURN_IF_ERROR(csv.status());
   std::sort(spec.groups.begin(), spec.groups.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return spec;

@@ -26,6 +26,7 @@ Status WriteAggregateCsv(const AggregateSpec& spec,
 /// Reads an aggregate published as CSV. Attribute names must exist in
 /// `schema`; group values are interned into the schema's domains (a
 /// published report may legitimately mention values the sample lacks).
+/// Every count must be a finite, non-negative number.
 Result<AggregateSpec> ReadAggregateCsv(data::Schema& schema,
                                        const std::string& path);
 

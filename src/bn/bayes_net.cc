@@ -1,5 +1,8 @@
 #include "bn/bayes_net.h"
 
+#include <exception>
+#include <future>
+
 #include "util/logging.h"
 
 namespace themis::bn {
@@ -44,12 +47,12 @@ double BayesianNetwork::JointProbability(
 data::Table BayesianNetwork::SampleTable(size_t num_rows,
                                          double population_size,
                                          Rng& rng) const {
-  std::vector<std::vector<double>> cumulative;
-  cumulative.reserve(cpts_.size());
-  for (const Cpt& cpt : cpts_) cumulative.push_back(cpt.CumulativeRows());
+  std::vector<CptSampler> samplers;
+  samplers.reserve(cpts_.size());
+  for (const Cpt& cpt : cpts_) samplers.emplace_back(cpt);
 
   data::Table table(schema_);
-  table.Reserve(num_rows);
+  table.Resize(num_rows);
   std::vector<data::ValueCode> tuple(num_nodes(), data::kNullCode);
   for (size_t r = 0; r < num_rows; ++r) {
     for (size_t v : topo_order_) {
@@ -59,10 +62,9 @@ data::Table BayesianNetwork::SampleTable(size_t num_rows,
         config = config * cpt.parent_sizes()[i] +
                  static_cast<size_t>(tuple[cpt.parents()[i]]);
       }
-      tuple[v] = cpt.SampleCumulative(cumulative[v], config,
-                                      rng.UniformDouble());
+      tuple[v] = samplers[v].Sample(config, rng.UniformDouble());
+      table.Set(r, v, tuple[v]);
     }
-    table.AppendRow(tuple);
   }
   table.FillWeights(num_rows == 0 ? 0.0
                                   : population_size /
@@ -73,12 +75,33 @@ data::Table BayesianNetwork::SampleTable(size_t num_rows,
 std::vector<data::Table> BayesianNetwork::SampleTables(
     size_t count, size_t num_rows, double population_size, uint64_t seed,
     util::ThreadPool& pool) const {
-  std::vector<data::Table> tables(count, data::Table(schema_));
-  pool.ParallelFor(0, count, [&](size_t k) {
-    Rng rng(seed);
-    rng.engine().discard(k * num_rows * num_nodes());
-    tables[k] = SampleTable(num_rows, population_size, rng);
-  });
+  // A relay: this thread walks one engine past each table's draws and
+  // hands every task a copy of the state its table starts from, so table k
+  // starts as soon as the k tables before it are skipped once, not after
+  // discarding k tables' worth of draws itself.
+  std::vector<std::future<data::Table>> pending;
+  pending.reserve(count);
+  Rng rng(seed);
+  for (size_t k = 0; k < count; ++k) {
+    if (k > 0) rng.engine().discard(num_rows * num_nodes());
+    pending.push_back(
+        pool.Submit([this, num_rows, population_size, rng]() mutable {
+          return SampleTable(num_rows, population_size, rng);
+        }));
+  }
+  // Every task refers to this network, so all are joined before an
+  // exception leaves.
+  std::vector<data::Table> tables;
+  tables.reserve(count);
+  std::exception_ptr error;
+  for (std::future<data::Table>& table : pending) {
+    try {
+      tables.push_back(pool.GetHelping(table));
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (error) std::rethrow_exception(error);
   return tables;
 }
 

@@ -46,7 +46,9 @@ class BayesianNetwork {
   /// `count` SampleTable calls fanned out over `pool`. Table k starts from
   /// Rng(seed) advanced past the k * num_rows * num_nodes() draws the
   /// tables before it consume, so the result equals `count` sequential
-  /// SampleTable calls on one Rng(seed), bitwise, at any pool size.
+  /// SampleTable calls on one Rng(seed), bitwise, at any pool size. The
+  /// calling thread advances one engine table by table and submits each
+  /// table as soon as its start state is known.
   std::vector<data::Table> SampleTables(size_t count, size_t num_rows,
                                         double population_size,
                                         uint64_t seed,

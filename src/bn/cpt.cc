@@ -81,24 +81,31 @@ bool Cpt::RowsAreSimplexes(double tol) const {
   return true;
 }
 
-std::vector<double> Cpt::CumulativeRows() const {
-  std::vector<double> cumulative(probs_.size());
-  for (size_t cfg = 0; cfg < num_configs_; ++cfg) {
+CptSampler::CptSampler(const Cpt& cpt)
+    : child_size_(cpt.child_size()),
+      cumulative_(cpt.flat().size()),
+      guide_(cpt.flat().size()),
+      guided_(cpt.num_configs(), cpt.child_size() > 0) {
+  const size_t n = child_size_;
+  for (size_t cfg = 0; cfg < cpt.num_configs(); ++cfg) {
+    double* row = cumulative_.data() + cfg * n;
     double acc = 0;
-    for (size_t j = 0; j < child_size_; ++j) {
-      acc += probs_[cfg * child_size_ + j];
-      cumulative[cfg * child_size_ + j] = acc;
+    for (size_t j = 0; j < n; ++j) {
+      acc += cpt.flat()[cfg * n + j];
+      row[j] = acc;
+      if (std::isnan(acc) || (j > 0 && acc < row[j - 1])) {
+        guided_[cfg] = false;
+      }
+    }
+    // guide[slice]: the first value whose sum exceeds slice / n.
+    size_t j = 0;
+    for (size_t slice = 0; slice < n; ++slice) {
+      const double start =
+          static_cast<double>(slice) / static_cast<double>(n);
+      while (j < n && row[j] <= start) ++j;
+      guide_[cfg * n + slice] = static_cast<uint32_t>(j);
     }
   }
-  return cumulative;
-}
-
-data::ValueCode Cpt::SampleCumulative(const std::vector<double>& cumulative,
-                                      size_t config, double r) const {
-  const auto row = cumulative.begin() + config * child_size_;
-  const auto it = std::upper_bound(row, row + child_size_, r);
-  const size_t j = std::min<size_t>(it - row, child_size_ - 1);
-  return static_cast<data::ValueCode>(j);
 }
 
 }  // namespace themis::bn

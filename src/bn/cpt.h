@@ -1,6 +1,8 @@
 #ifndef THEMIS_BN_CPT_H_
 #define THEMIS_BN_CPT_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "data/schema.h"
@@ -59,19 +61,6 @@ class Cpt {
   /// Verifies every row is a simplex within `tol`.
   bool RowsAreSimplexes(double tol = 1e-6) const;
 
-  /// Running sums of every row, laid out like flat(): entry j of a row is
-  /// p_0 + ... + p_j, accumulated left to right. Rows must be non-negative
-  /// so the sums never decrease.
-  std::vector<double> CumulativeRows() const;
-
-  /// The child value forward sampling draws for a uniform `r` in [0, 1)
-  /// from row `config` of `cumulative` (a CumulativeRows() result): the
-  /// first value whose running sum exceeds `r`, so a zero-probability
-  /// value is never drawn, or the last value when the row sums to at most
-  /// `r`.
-  data::ValueCode SampleCumulative(const std::vector<double>& cumulative,
-                                   size_t config, double r) const;
-
  private:
   size_t child_ = 0;
   size_t child_size_ = 0;
@@ -79,6 +68,45 @@ class Cpt {
   std::vector<size_t> parent_sizes_;
   size_t num_configs_ = 1;
   std::vector<double> probs_;
+};
+
+/// The draw forward sampling makes from a CPT. For a uniform `r` in
+/// [0, 1) and a parent configuration, Sample returns the first child value
+/// whose running row sum (p_0 + ... + p_j, accumulated left to right)
+/// exceeds `r`, so a zero-probability value is never drawn, or the last
+/// value when the row sums to at most `r`. A per-row guide (the first
+/// value past each of child_size() equal slices of [0, 1)) starts the
+/// search next to that value, so a draw from a large domain costs a step
+/// or two instead of a binary search; the value found is the one
+/// std::upper_bound finds. A row whose running sums decrease somewhere (a
+/// negative or NaN entry) is searched with std::upper_bound itself.
+class CptSampler {
+ public:
+  explicit CptSampler(const Cpt& cpt);
+
+  data::ValueCode Sample(size_t config, double r) const {
+    const size_t n = child_size_;
+    const double* row = cumulative_.data() + config * n;
+    size_t j;
+    if (guided_[config]) {
+      const size_t slice =
+          r > 0 ? std::min(static_cast<size_t>(r * static_cast<double>(n)),
+                           n - 1)
+                : 0;
+      j = guide_[config * n + slice];
+      while (j > 0 && row[j - 1] > r) --j;
+      while (j < n && row[j] <= r) ++j;
+    } else {
+      j = static_cast<size_t>(std::upper_bound(row, row + n, r) - row);
+    }
+    return static_cast<data::ValueCode>(std::min(j, n - 1));
+  }
+
+ private:
+  size_t child_size_;
+  std::vector<double> cumulative_;  // laid out like Cpt::flat()
+  std::vector<uint32_t> guide_;     // [config][slice]
+  std::vector<bool> guided_;        // [config]: sums never decrease
 };
 
 }  // namespace themis::bn

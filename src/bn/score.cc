@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "util/logging.h"
 
@@ -40,6 +41,61 @@ double AggregateScoreSource::total() const {
   return best;
 }
 
+namespace {
+
+/// N_k of every entry of `joint`, in its iteration order: the mass of the
+/// entry's parent configuration (its codes at `ppos`), each configuration
+/// summed over the joint's entries in iteration order from 0.0, exactly as
+/// FreqTable::MarginalizeTo sums it. Counts into one dense cell per
+/// configuration (code + 1 per parent, so null has its own) when there
+/// are at most max(2^16, 4 * groups) of them; through MarginalizeTo's
+/// table otherwise.
+std::vector<double> ParentMassPerEntry(const stats::FreqTable& joint,
+                                       const std::vector<size_t>& parents,
+                                       const std::vector<size_t>& ppos) {
+  const size_t groups = joint.num_groups();
+  std::vector<double> out;
+  out.reserve(groups);
+  std::vector<uint64_t> radix(ppos.size(), 1);
+  bool dense = true;
+  for (const auto& [key, c] : joint.entries()) {
+    for (size_t i = 0; i < ppos.size(); ++i) {
+      dense = dense && key[ppos[i]] >= data::kNullCode;
+      radix[i] = std::max<uint64_t>(radix[i], key[ppos[i]] + 2);
+    }
+  }
+  const uint64_t max_cells = std::max<uint64_t>(1 << 16, 4 * groups);
+  uint64_t cells = 1;
+  for (uint64_t r : radix) {
+    dense = dense && cells <= max_cells / r;
+    if (dense) cells *= r;
+  }
+  if (!dense) {
+    const stats::FreqTable marginal = joint.MarginalizeTo(parents);
+    data::TupleKey pkey(ppos.size());
+    for (const auto& [key, c] : joint.entries()) {
+      for (size_t i = 0; i < ppos.size(); ++i) pkey[i] = key[ppos[i]];
+      out.push_back(marginal.Mass(pkey));
+    }
+    return out;
+  }
+  std::vector<double> mass(cells, 0.0);
+  std::vector<uint64_t> entry_cell;
+  entry_cell.reserve(groups);
+  for (const auto& [key, c] : joint.entries()) {
+    uint64_t cell = 0;
+    for (size_t i = 0; i < ppos.size(); ++i) {
+      cell = cell * radix[i] + static_cast<uint64_t>(key[ppos[i]] + 1);
+    }
+    entry_cell.push_back(cell);
+    mass[cell] += c;
+  }
+  for (uint64_t cell : entry_cell) out.push_back(mass[cell]);
+  return out;
+}
+
+}  // namespace
+
 Result<double> FamilyBicScore(const ScoreSource& source,
                               const data::Schema& schema, size_t child,
                               const std::vector<size_t>& parents) {
@@ -51,11 +107,17 @@ Result<double> FamilyBicScore(const ScoreSource& source,
   }
   THEMIS_ASSIGN_OR_RETURN(stats::FreqTable joint,
                           source.JointCounts(family));
+  return FamilyBicScore(joint, source.total(), schema, child, parents);
+}
+
+Result<double> FamilyBicScore(const stats::FreqTable& joint, double n,
+                              const data::Schema& schema, size_t child,
+                              const std::vector<size_t>& parents) {
+  const std::vector<size_t>& family = joint.attrs();
   const double joint_total = joint.TotalMass();
   if (joint_total <= 0) {
     return Status::FailedPrecondition("empty family statistics");
   }
-  const double n = source.total();
   // Scale the joint to N observations (aggregate marginals may carry a
   // different total than the designated N).
   const double scale = n / joint_total;
@@ -71,18 +133,19 @@ Result<double> FamilyBicScore(const ScoreSource& source,
   } else {
     std::vector<size_t> sorted_parents = parents;
     std::sort(sorted_parents.begin(), sorted_parents.end());
-    stats::FreqTable parent_marginal = joint.MarginalizeTo(sorted_parents);
     // Position of the parent attributes within the family key.
     std::vector<size_t> ppos;
     for (size_t p : sorted_parents) {
       auto it = std::find(family.begin(), family.end(), p);
       ppos.push_back(static_cast<size_t>(it - family.begin()));
     }
+    const std::vector<double> parent_mass =
+        ParentMassPerEntry(joint, sorted_parents, ppos);
+    size_t entry = 0;
     for (const auto& [key, c] : joint.entries()) {
+      const double mass = parent_mass[entry++];
       if (c <= 0) continue;
-      data::TupleKey pkey(ppos.size());
-      for (size_t i = 0; i < ppos.size(); ++i) pkey[i] = key[ppos[i]];
-      const double nk = parent_marginal.Mass(pkey) * scale;
+      const double nk = mass * scale;
       const double njk = c * scale;
       ll += njk * std::log(njk / nk);
     }

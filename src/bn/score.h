@@ -69,6 +69,13 @@ Result<double> FamilyBicScore(const ScoreSource& source,
                               const data::Schema& schema, size_t child,
                               const std::vector<size_t>& parents);
 
+/// The same score from the family's joint counts: `joint` is
+/// source.JointCounts over the sorted family {child} ∪ parents and `n` is
+/// source.total(). Lets a caller scoring i→j and j→i count {i, j} once.
+Result<double> FamilyBicScore(const stats::FreqTable& joint, double n,
+                              const data::Schema& schema, size_t child,
+                              const std::vector<size_t>& parents);
+
 }  // namespace themis::bn
 
 #endif  // THEMIS_BN_SCORE_H_

@@ -23,25 +23,40 @@ struct Move {
 
 /// Memoizing family-score evaluator for one phase. Unsupported families
 /// report NotFound; the caller treats those moves as disallowed
-/// (BuildEdges' support restriction, Alg 3).
+/// (BuildEdges' support restriction, Alg 3). The first score asked of a
+/// family counts its joint once and scores it with every member as the
+/// child, so the i→j and j→i scores share one count of {i, j} and no
+/// joint outlives the call.
 class ScoreCache {
  public:
   ScoreCache(const ScoreSource& source, const data::Schema& schema)
-      : source_(source), schema_(schema) {}
+      : source_(source), schema_(schema), total_(source.total()) {}
 
   /// Family score, or NaN if unsupported.
   double Score(size_t child, std::vector<size_t> parents) {
     std::sort(parents.begin(), parents.end());
-    std::vector<size_t> key = parents;
-    key.push_back(child);  // child last, parents sorted: unique key
-    key.push_back(SIZE_MAX);
-    auto it = cache_.find(key);
+    auto it = cache_.find(Key(child, parents));
     if (it != cache_.end()) return it->second;
-    auto result = FamilyBicScore(source_, schema_, child, parents);
-    const double score =
-        result.ok() ? *result : std::numeric_limits<double>::quiet_NaN();
-    cache_.emplace(std::move(key), score);
-    return score;
+    std::vector<size_t> family = parents;
+    family.push_back(child);
+    std::sort(family.begin(), family.end());
+    const Result<stats::FreqTable> joint =
+        source_.HasSupport(family)
+            ? source_.JointCounts(family)
+            : Status::NotFound("family lacks support in the score source");
+    for (size_t member : family) {
+      std::vector<size_t> others;
+      for (size_t a : family) {
+        if (a != member) others.push_back(a);
+      }
+      const Result<double> result =
+          joint.ok() ? FamilyBicScore(*joint, total_, schema_, member, others)
+                     : Result<double>(joint.status());
+      cache_.emplace(Key(member, others),
+                     result.ok() ? *result
+                                 : std::numeric_limits<double>::quiet_NaN());
+    }
+    return cache_.at(Key(child, parents));
   }
 
   bool Supported(size_t child, const std::vector<size_t>& parents) {
@@ -49,8 +64,19 @@ class ScoreCache {
   }
 
  private:
+  /// Child last after the sorted parents, then a sentinel: unique per
+  /// (child, parents).
+  static std::vector<size_t> Key(size_t child,
+                                 const std::vector<size_t>& parents) {
+    std::vector<size_t> key = parents;
+    key.push_back(child);
+    key.push_back(SIZE_MAX);
+    return key;
+  }
+
   const ScoreSource& source_;
   const data::Schema& schema_;
+  const double total_;
   std::map<std::vector<size_t>, double> cache_;
 };
 

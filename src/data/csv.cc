@@ -1,5 +1,13 @@
 #include "data/csv.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cctype>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 
 #include "util/string_util.h"
@@ -24,16 +32,148 @@ Status WriteCsv(const Table& table, const std::string& path) {
   return Status::OK();
 }
 
+Result<CsvParser> CsvParser::Open(const std::string& path) {
+  CsvParser csv(path);
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::IoError("cannot open '" + path + "' for read");
+  struct stat st;
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
+    void* map = ::mmap(nullptr, static_cast<size_t>(st.st_size),
+                       PROT_READ | PROT_WRITE, MAP_PRIVATE, fd, 0);
+    if (map != MAP_FAILED) {
+      ::close(fd);
+      csv.data_ = static_cast<char*>(map);
+      csv.size_ = static_cast<size_t>(st.st_size);
+      csv.mapped_ = true;
+      return csv;
+    }
+  }
+  char chunk[1 << 16];
+  ssize_t got;
+  while ((got = ::read(fd, chunk, sizeof(chunk))) > 0) {
+    csv.read_.append(chunk, static_cast<size_t>(got));
+  }
+  ::close(fd);
+  if (got < 0) return Status::IoError("read from '" + path + "' failed");
+  csv.data_ = csv.read_.data();
+  csv.size_ = csv.read_.size();
+  return csv;
+}
+
+CsvParser::CsvParser(CsvParser&& other) noexcept
+    : path_(std::move(other.path_)),
+      data_(other.data_),
+      size_(other.size_),
+      mapped_(other.mapped_),
+      read_(std::move(other.read_)),
+      pos_(other.pos_),
+      line_(other.line_),
+      next_line_(other.next_line_),
+      fields_(std::move(other.fields_)),
+      status_(std::move(other.status_)) {
+  if (!mapped_) data_ = read_.data();  // a short string moves its bytes
+  other.mapped_ = false;
+  other.data_ = nullptr;
+  other.size_ = 0;
+}
+
+CsvParser::~CsvParser() {
+  if (mapped_) ::munmap(data_, size_);
+}
+
+bool CsvParser::Next(bool skip_blank) {
+  fields_.clear();
+  char* const data = data_;
+  const size_t size = size_;
+  // A physical line of whitespace only is blank, as Trim sees it.
+  while (skip_blank && pos_ < size) {
+    size_t p = pos_;
+    while (p < size && data[p] != '\n' &&
+           std::isspace(static_cast<unsigned char>(data[p]))) {
+      ++p;
+    }
+    if (p < size && data[p] != '\n') break;
+    pos_ = p < size ? p + 1 : size;
+    ++next_line_;
+  }
+  if (pos_ >= size || !status_.ok()) return false;
+
+  line_ = next_line_;
+  size_t p = pos_;
+  while (true) {
+    const size_t start = p;
+    while (p < size && data[p] != ',' && data[p] != '\n' && data[p] != '"') {
+      ++p;
+    }
+    size_t end = p;
+    if (p < size && data[p] == '"') {
+      // Unescape in place: the write cursor never passes the read cursor.
+      bool quoted = false;
+      while (p < size) {
+        const char c = data[p];
+        if (quoted) {
+          if (c == '"') {
+            if (p + 1 < size && data[p + 1] == '"') {
+              data[end++] = '"';
+              p += 2;
+            } else {
+              quoted = false;
+              ++p;
+            }
+            continue;
+          }
+          if (c == '\n') ++next_line_;
+        } else if (c == '"') {
+          quoted = true;
+          ++p;
+          continue;
+        } else if (c == ',' || c == '\n') {
+          break;
+        }
+        data[end++] = c;
+        ++p;
+      }
+      if (quoted) {
+        status_ = Status::ParseError(
+            StrFormat("CSV '%s' line %zu: unterminated quoted field",
+                      path_.c_str(), line_));
+        pos_ = size;
+        fields_.clear();
+        return false;
+      }
+    }
+    fields_.emplace_back(data + start, end - start);
+    if (p < size && data[p] == ',') {
+      ++p;
+      continue;
+    }
+    if (p < size) {  // the record's newline
+      ++p;
+      ++next_line_;
+    }
+    pos_ = p;
+    return true;
+  }
+}
+
+bool ParseCsvNumber(std::string_view field, double* value) {
+  // strtod needs a terminated string; the copy also stops it at an
+  // embedded NUL, as it stopped on a std::string field before.
+  const std::string text(field);
+  char* end = nullptr;
+  *value = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && std::isfinite(*value);
+}
+
 Result<Table> ReadCsv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open '" + path + "' for read");
-  std::string line;
-  if (!std::getline(in, line)) {
+  THEMIS_ASSIGN_OR_RETURN(CsvParser csv, CsvParser::Open(path));
+  if (!csv.Next(/*skip_blank=*/false)) {
+    THEMIS_RETURN_IF_ERROR(csv.status());
     return Status::ParseError("empty CSV file '" + path + "'");
   }
-  std::vector<std::string> header = SplitCsvLine(line);
-  bool has_weight = !header.empty() && header.back() == "weight";
-  size_t num_attrs = has_weight ? header.size() - 1 : header.size();
+  const std::vector<std::string_view> header = csv.fields();
+  const bool has_weight = !header.empty() && header.back() == "weight";
+  const size_t num_attrs = has_weight ? header.size() - 1 : header.size();
   if (num_attrs == 0) {
     return Status::ParseError("CSV '" + path + "' has no attribute columns");
   }
@@ -42,30 +182,29 @@ Result<Table> ReadCsv(const std::string& path) {
     schema->AddAttribute(std::string(Trim(header[a])));
   }
   Table table(schema);
-  size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (Trim(line).empty()) continue;
-    std::vector<std::string> fields = SplitCsvLine(line);
+  std::vector<ValueCode> codes(num_attrs);
+  while (csv.Next()) {
+    const std::vector<std::string_view>& fields = csv.fields();
     if (fields.size() != header.size()) {
       return Status::ParseError(StrFormat(
           "CSV '%s' line %zu: expected %zu fields, got %zu", path.c_str(),
-          line_no, header.size(), fields.size()));
+          csv.line(), header.size(), fields.size()));
     }
-    std::vector<std::string> labels(fields.begin(),
-                                    fields.begin() + num_attrs);
-    table.AppendRowLabels(labels);
+    for (size_t a = 0; a < num_attrs; ++a) {
+      codes[a] = schema->domain(a).Intern(fields[a]);
+    }
+    table.AppendRow(codes);
     if (has_weight) {
-      char* end = nullptr;
-      double w = std::strtod(fields.back().c_str(), &end);
-      if (end == fields.back().c_str()) {
-        return Status::ParseError(
-            StrFormat("CSV '%s' line %zu: bad weight '%s'", path.c_str(),
-                      line_no, fields.back().c_str()));
+      double w = 0;
+      if (!ParseCsvNumber(fields.back(), &w)) {
+        return Status::ParseError(StrFormat(
+            "CSV '%s' line %zu: bad weight '%s'", path.c_str(), csv.line(),
+            std::string(fields.back()).c_str()));
       }
       table.set_weight(table.num_rows() - 1, w);
     }
   }
+  THEMIS_RETURN_IF_ERROR(csv.status());
   return table;
 }
 

@@ -14,26 +14,26 @@ Domain::Domain(std::string name, std::vector<std::string> labels)
   }
 }
 
-ValueCode Domain::Intern(const std::string& label) {
+ValueCode Domain::Intern(std::string_view label) {
   auto it = index_.find(label);
   if (it != index_.end()) return it->second;
   ValueCode code = static_cast<ValueCode>(labels_.size());
-  labels_.push_back(label);
-  index_.emplace(label, code);
+  labels_.emplace_back(label);
+  index_.emplace(labels_.back(), code);
   return code;
 }
 
-Result<ValueCode> Domain::Code(const std::string& label) const {
+Result<ValueCode> Domain::Code(std::string_view label) const {
   auto it = index_.find(label);
   if (it == index_.end()) {
-    return Status::NotFound("value '" + label + "' not in domain of " +
-                            name_);
+    return Status::NotFound("value '" + std::string(label) +
+                            "' not in domain of " + name_);
   }
   return it->second;
 }
 
-bool Domain::Contains(const std::string& label) const {
-  return index_.count(label) > 0;
+bool Domain::Contains(std::string_view label) const {
+  return index_.find(label) != index_.end();
 }
 
 std::vector<ValueCode> Domain::TranslateTo(const Domain& target) const {

@@ -2,7 +2,9 @@
 #define THEMIS_DATA_DOMAIN_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -29,14 +31,15 @@ class Domain {
   /// Number of distinct values N_i.
   size_t size() const { return labels_.size(); }
 
-  /// Adds `label` if absent; returns its code either way.
-  ValueCode Intern(const std::string& label);
+  /// Adds `label` if absent; returns its code either way. Looking up a
+  /// label that is present copies nothing.
+  ValueCode Intern(std::string_view label);
 
   /// Code for `label`, or error if it is not in the active domain.
-  Result<ValueCode> Code(const std::string& label) const;
+  Result<ValueCode> Code(std::string_view label) const;
 
   /// True if `label` is in the active domain.
-  bool Contains(const std::string& label) const;
+  bool Contains(std::string_view label) const;
 
   /// Label for `code`. code must be in [0, size()).
   const std::string& Label(ValueCode code) const;
@@ -53,7 +56,16 @@ class Domain {
  private:
   std::string name_;
   std::vector<std::string> labels_;
-  std::unordered_map<std::string, ValueCode> index_;
+  /// Hashes std::string and std::string_view alike, so the index is
+  /// probed with a view (heterogeneous lookup).
+  struct LabelHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view label) const {
+      return std::hash<std::string_view>{}(label);
+    }
+  };
+  std::unordered_map<std::string, ValueCode, LabelHash, std::equal_to<>>
+      index_;
 };
 
 }  // namespace themis::data

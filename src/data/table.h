@@ -29,6 +29,10 @@ class Table {
   /// Reserves room for `rows` rows in every column and the weights.
   void Reserve(size_t rows);
 
+  /// Resizes to `rows` rows; added rows hold kNullCode with weight 1, for
+  /// producers that then fill cells in place with Set.
+  void Resize(size_t rows);
+
   /// Appends a row given display labels, interning them into the domains.
   void AppendRowLabels(const std::vector<std::string>& labels);
 
@@ -64,9 +68,18 @@ class Table {
   TupleKey KeyFor(size_t row, const std::vector<size_t>& attrs) const;
 
   /// Group-by over `attrs` summing weights per group (COUNT(*) semantics on
-  /// a weighted table).
+  /// a weighted table). Counts into a dense array with one cell per code
+  /// combination while the attributes' code space is at most
+  /// max(kDenseGroupCells, 4 * num_rows()); the map it returns equals,
+  /// bitwise and in iteration order, the one `groups[KeyFor(r, attrs)] +=
+  /// weight(r)` over ascending rows builds, which is how larger code
+  /// spaces are counted.
   std::unordered_map<TupleKey, double, TupleKeyHash> GroupWeights(
       const std::vector<size_t>& attrs) const;
+
+  /// Cell-space size up to which GroupWeights counts densely regardless of
+  /// the row count.
+  static constexpr uint64_t kDenseGroupCells = 1 << 16;
 
   /// Returns a new table with the same schema containing rows where
   /// `keep[row]` is true (weights preserved).

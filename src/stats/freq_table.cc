@@ -49,8 +49,8 @@ FreqTable FreqTable::MarginalizeTo(const std::vector<size_t>& keep) const {
     positions.push_back(static_cast<size_t>(it - attrs_.begin()));
   }
   FreqTable out(keep);
+  data::TupleKey sub(positions.size());
   for (const auto& [key, v] : mass_) {
-    data::TupleKey sub(positions.size());
     for (size_t i = 0; i < positions.size(); ++i) sub[i] = key[positions[i]];
     out.mass_[sub] += v;
   }

@@ -33,7 +33,9 @@ std::string StrFormat(const char* fmt, ...);
 std::string CsvEscape(const std::string& field);
 
 /// Splits one CSV line honoring double-quoted fields (inverse of
-/// CsvEscape). Keeps empty fields.
+/// CsvEscape). Keeps empty fields. The readers parse whole files with
+/// data::CsvParser; data_test keeps this line-at-a-time split as its
+/// oracle.
 std::vector<std::string> SplitCsvLine(std::string_view line);
 
 }  // namespace themis

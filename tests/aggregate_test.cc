@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <set>
 
 #include "aggregate/aggregate.h"
+#include "aggregate/aggregate_io.h"
 #include "aggregate/pruning.h"
 #include "workload/child.h"
 #include "workload/experiment.h"
@@ -172,6 +176,22 @@ TEST(PruningTest, ZeroBudgetSelectsNothing) {
   data::Table pop = Example31Population();
   std::vector<AggregateSpec> candidates = {ComputeAggregate(pop, {1, 2})};
   EXPECT_TRUE(SelectAggregatesTCherry(candidates, 0).empty());
+}
+
+TEST(AggregateIoTest, NonFiniteCountFails) {
+  const std::string path =
+      std::filesystem::temp_directory_path() / "themis_agg_nonfinite.csv";
+  for (const char* count : {"nan", "-nan", "inf", "1e999"}) {
+    SCOPED_TRACE(count);
+    std::ofstream(path) << "o_st,count\nFL,2\nNY," << count << "\n";
+    data::Table pop = Example31Population();
+    const auto spec = ReadAggregateCsv(*pop.schema(), path);
+    ASSERT_FALSE(spec.ok());
+    EXPECT_EQ(spec.status().code(), StatusCode::kParseError);
+    EXPECT_NE(spec.status().message().find(path), std::string::npos);
+    EXPECT_NE(spec.status().message().find("line 3"), std::string::npos);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <map>
 
 #include "bn/inference.h"
 #include "bn/learn.h"
@@ -8,6 +11,10 @@
 #include "bn/score.h"
 #include "bn/structure_learning.h"
 #include "util/random.h"
+#include "workload/experiment.h"
+#include "workload/flights.h"
+#include "workload/imdb.h"
+#include "workload/sampler.h"
 
 namespace themis::bn {
 namespace {
@@ -92,6 +99,71 @@ TEST(ScoreTest, UnsupportedFamilyReportsNotFound) {
   EXPECT_FALSE(FamilyBicScore(source, *d.schema, 2, {1}).ok());
 }
 
+/// FamilyBicScore from a joint as it was computed before parent masses
+/// were counted densely: MarginalizeTo, then one lookup per entry.
+double ReferenceBicScore(const stats::FreqTable& joint, double n,
+                         const data::Schema& schema, size_t child,
+                         const std::vector<size_t>& parents) {
+  const std::vector<size_t>& family = joint.attrs();
+  const double scale = n / joint.TotalMass();
+  std::vector<size_t> sorted_parents = parents;
+  std::sort(sorted_parents.begin(), sorted_parents.end());
+  const stats::FreqTable marginal = joint.MarginalizeTo(sorted_parents);
+  std::vector<size_t> ppos;
+  for (size_t p : sorted_parents) {
+    ppos.push_back(static_cast<size_t>(
+        std::find(family.begin(), family.end(), p) - family.begin()));
+  }
+  double ll = 0;
+  for (const auto& [key, c] : joint.entries()) {
+    if (c <= 0) continue;
+    data::TupleKey pkey(ppos.size());
+    for (size_t i = 0; i < ppos.size(); ++i) pkey[i] = key[ppos[i]];
+    const double nk = marginal.Mass(pkey) * scale;
+    const double njk = c * scale;
+    ll += njk * std::log(njk / nk);
+  }
+  double q = 1;
+  for (size_t p : parents) q *= static_cast<double>(schema.domain(p).size());
+  const double params =
+      q * (static_cast<double>(schema.domain(child).size()) - 1.0);
+  return ll - 0.5 * std::log(std::max(n, 2.0)) * params;
+}
+
+TEST(ScoreTest, ParentMassesMatchTheMarginalTableBitwise) {
+  auto schema = std::make_shared<data::Schema>();
+  for (const char* name : {"a", "b", "c"}) {
+    schema->AddAttribute(name, {"0", "1", "2"});
+  }
+  Rng rng(77);
+  // Small codes count parent masses densely; codes near 70,000 put two
+  // parents' cell space past the dense bound and use the marginal table.
+  for (int64_t max_code : {4, 70000}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      stats::FreqTable joint({0, 1, 2});
+      for (int e = 0; e < 400; ++e) {
+        data::TupleKey key(3);
+        for (auto& code : key) {
+          code = static_cast<data::ValueCode>(rng.UniformInt(-1, max_code));
+        }
+        // Some zero masses, which the score skips but the marginal sums.
+        joint.Add(key, rng.Bernoulli(0.1) ? 0.0 : rng.UniformDouble(0, 9));
+      }
+      const double n = rng.UniformDouble(100, 1e6);
+      for (const std::vector<size_t>& parents :
+           {std::vector<size_t>{1}, {0, 2}, {2, 0}}) {
+        const size_t child = parents.size() == 1 ? 2 : 1;
+        const auto got = FamilyBicScore(joint, n, *schema, child, parents);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(std::bit_cast<uint64_t>(*got),
+                  std::bit_cast<uint64_t>(
+                      ReferenceBicScore(joint, n, *schema, child, parents)))
+            << "max code " << max_code << " trial " << trial;
+      }
+    }
+  }
+}
+
 TEST(StructureLearningTest, FindsTheDependentEdgeFromAggregates) {
   DependentData d;
   StructureLearnOptions options;
@@ -143,6 +215,225 @@ TEST(StructureLearningTest, RequiresSomeSource) {
   DependentData d;
   StructureLearnOptions options;
   EXPECT_FALSE(LearnStructure(d.schema, nullptr, nullptr, options).ok());
+}
+
+/// Sample statistics counted with one key probe per row, as
+/// Table::GroupWeights did before it counted densely.
+class RowLoopSampleSource : public ScoreSource {
+ public:
+  explicit RowLoopSampleSource(const data::Table* sample) : sample_(sample) {}
+  bool HasSupport(const std::vector<size_t>&) const override { return true; }
+  Result<stats::FreqTable> JointCounts(
+      const std::vector<size_t>& attrs) const override {
+    std::vector<size_t> sorted = attrs;
+    std::sort(sorted.begin(), sorted.end());
+    stats::FreqTable joint(sorted);
+    for (size_t r = 0; r < sample_->num_rows(); ++r) {
+      joint.Add(sample_->KeyFor(r, sorted), sample_->weight(r));
+    }
+    return joint;
+  }
+  double total() const override { return sample_->TotalWeight(); }
+
+ private:
+  const data::Table* sample_;
+};
+
+/// Alg 2's hill climber as LearnStructure ran it before families shared
+/// joint counts: every family score counts its own joint. The oracle of
+/// StructureDifferentialTest.
+class OracleStructureLearner {
+ public:
+  OracleStructureLearner(const ScoreSource& source,
+                         const data::Schema& schema)
+      : source_(source), schema_(schema) {}
+
+  double Score(size_t child, std::vector<size_t> parents) {
+    std::sort(parents.begin(), parents.end());
+    std::vector<size_t> key = parents;
+    key.push_back(child);
+    key.push_back(SIZE_MAX);
+    auto it = cache_.find(key);
+    if (it != cache_.end()) return it->second;
+    auto result = FamilyBicScore(source_, schema_, child, parents);
+    const double score =
+        result.ok() ? *result : std::numeric_limits<double>::quiet_NaN();
+    cache_.emplace(std::move(key), score);
+    return score;
+  }
+
+  bool Supported(size_t child, const std::vector<size_t>& parents) {
+    return !std::isnan(Score(child, parents));
+  }
+
+  int RunPhase(Dag& dag, const std::set<std::pair<size_t, size_t>>& locked,
+               const StructureLearnOptions& options, int moves_budget) {
+    auto with = [](std::vector<size_t> p, size_t extra) {
+      p.push_back(extra);
+      std::sort(p.begin(), p.end());
+      return p;
+    };
+    auto without = [](const std::vector<size_t>& p, size_t removed) {
+      std::vector<size_t> out;
+      for (size_t x : p) {
+        if (x != removed) out.push_back(x);
+      }
+      return out;
+    };
+    enum Type { kAdd, kRemove, kReverse };
+    const size_t m = dag.num_nodes();
+    int moves = 0;
+    while (moves < moves_budget) {
+      Type best_type = kAdd;
+      size_t best_from = 0, best_to = 0;
+      double best_delta = options.min_delta;
+      bool found = false;
+      auto offer = [&](Type type, size_t i, size_t j, double delta) {
+        if (delta > best_delta) {
+          best_type = type;
+          best_from = i;
+          best_to = j;
+          best_delta = delta;
+          found = true;
+        }
+      };
+      for (size_t i = 0; i < m; ++i) {
+        for (size_t j = 0; j < m; ++j) {
+          if (i == j) continue;
+          const std::vector<size_t>& pj = dag.Parents(j);
+          if (!dag.HasEdge(i, j) && !dag.HasEdge(j, i)) {
+            if (pj.size() >= options.max_parents) continue;
+            if (dag.WouldCreateCycle(i, j)) continue;
+            const std::vector<size_t> new_pj = with(pj, i);
+            if (!Supported(j, new_pj) || !Supported(j, pj)) continue;
+            offer(kAdd, i, j, Score(j, new_pj) - Score(j, pj));
+          } else if (dag.HasEdge(i, j)) {
+            const bool is_locked = locked.count({i, j}) > 0;
+            if (!is_locked) {
+              const std::vector<size_t> new_pj = without(pj, i);
+              if (Supported(j, new_pj) && Supported(j, pj)) {
+                offer(kRemove, i, j, Score(j, new_pj) - Score(j, pj));
+              }
+            }
+            if (!is_locked && dag.Parents(i).size() < options.max_parents) {
+              Dag tmp = dag;
+              EXPECT_TRUE(tmp.RemoveEdge(i, j).ok());
+              if (!tmp.WouldCreateCycle(j, i)) {
+                const std::vector<size_t> new_pj = without(pj, i);
+                const std::vector<size_t> new_pi = with(dag.Parents(i), j);
+                if (Supported(j, new_pj) && Supported(i, new_pi) &&
+                    Supported(j, pj) && Supported(i, dag.Parents(i))) {
+                  offer(kReverse, i, j,
+                        Score(j, new_pj) + Score(i, new_pi) - Score(j, pj) -
+                            Score(i, dag.Parents(i)));
+                }
+              }
+            }
+          }
+        }
+      }
+      if (!found) break;
+      if (best_type == kAdd) {
+        EXPECT_TRUE(dag.AddEdge(best_from, best_to).ok());
+      } else if (best_type == kRemove) {
+        EXPECT_TRUE(dag.RemoveEdge(best_from, best_to).ok());
+      } else {
+        EXPECT_TRUE(dag.ReverseEdge(best_from, best_to).ok());
+      }
+      ++moves;
+    }
+    return moves;
+  }
+
+  double Total(const Dag& dag) {
+    double total = 0;
+    for (size_t v = 0; v < dag.num_nodes(); ++v) {
+      const double s = Score(v, dag.Parents(v));
+      if (!std::isnan(s)) total += s;
+    }
+    return total;
+  }
+
+ private:
+  const ScoreSource& source_;
+  const data::Schema& schema_;
+  std::map<std::vector<size_t>, double> cache_;
+};
+
+StructureLearnResult OracleLearnStructure(
+    const data::SchemaPtr& schema, const data::Table* sample,
+    const aggregate::AggregateSet* aggregates,
+    const StructureLearnOptions& options) {
+  const bool use_aggregates = options.source != StructureSource::kSampleOnly;
+  StructureLearnResult result{Dag(schema->num_attributes()), {}, 0, 0};
+  if (use_aggregates) {
+    AggregateScoreSource gamma(aggregates);
+    OracleStructureLearner phase(gamma, *schema);
+    result.moves += phase.RunPhase(result.dag, {}, options, options.max_moves);
+    for (const auto& e : result.dag.Edges()) result.locked_edges.insert(e);
+  }
+  RowLoopSampleSource rows(sample);
+  OracleStructureLearner phase(rows, *schema);
+  result.moves += phase.RunPhase(result.dag, result.locked_edges, options,
+                                 options.max_moves - result.moves);
+  result.final_score = phase.Total(result.dag);
+  return result;
+}
+
+void ExpectSameStructure(const data::SchemaPtr& schema,
+                         const data::Table& sample,
+                         const aggregate::AggregateSet& aggregates) {
+  for (StructureSource source :
+       {StructureSource::kBoth, StructureSource::kSampleOnly}) {
+    for (size_t max_parents : {size_t{1}, size_t{2}}) {
+      SCOPED_TRACE("source " + std::to_string(static_cast<int>(source)) +
+                   ", max_parents " + std::to_string(max_parents));
+      StructureLearnOptions options;
+      options.source = source;
+      options.max_parents = max_parents;
+      const auto got = LearnStructure(schema, &sample, &aggregates, options);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      const StructureLearnResult want =
+          OracleLearnStructure(schema, &sample, &aggregates, options);
+      EXPECT_EQ(got->dag.Edges(), want.dag.Edges());
+      EXPECT_EQ(got->locked_edges, want.locked_edges);
+      EXPECT_EQ(got->moves, want.moves);
+      EXPECT_EQ(std::bit_cast<uint64_t>(got->final_score),
+                std::bit_cast<uint64_t>(want.final_score));
+    }
+  }
+}
+
+TEST(StructureDifferentialTest, DependentDataMatchesTheOracle) {
+  for (uint64_t seed : {31, 32, 33}) {
+    DependentData d(4000, seed);
+    // Non-unit weights, and a null code in every column.
+    Rng rng(seed);
+    for (size_t r = 0; r < d.sample.num_rows(); ++r) {
+      d.sample.set_weight(r, rng.UniformDouble(0.1, 4.0));
+    }
+    for (size_t a = 0; a < 3; ++a) d.sample.Set(a, a, data::kNullCode);
+    ExpectSameStructure(d.schema, d.sample, d.aggregates);
+  }
+}
+
+TEST(StructureDifferentialTest, FlightsAndImdbMatchTheOracle) {
+  const data::Table flights =
+      workload::GenerateFlights({/*num_rows=*/30000, /*seed=*/1});
+  auto flights_sample =
+      workload::MakeFlightsSample(flights, "Corners", 0.1, 8);
+  ASSERT_TRUE(flights_sample.ok());
+  ExpectSameStructure(
+      flights.schema(), *flights_sample,
+      workload::MakeAggregates(flights, workload::AllSubsets({0, 1, 2}, 2)));
+
+  const data::Table imdb = workload::GenerateImdb(
+      {/*num_rows=*/20000, /*num_names=*/500, /*seed=*/2});
+  auto imdb_sample = workload::MakeImdbSample(imdb, "R159", 0.1, 4);
+  ASSERT_TRUE(imdb_sample.ok());
+  ExpectSameStructure(
+      imdb.schema(), *imdb_sample,
+      workload::MakeAggregates(imdb, workload::AllSubsets({0, 1, 3, 5}, 2)));
 }
 
 TEST(ParameterLearningTest, SampleOnlyMatchesEmpirical) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -113,11 +114,11 @@ TEST(CptTest, SampleRespectsDistribution) {
   Cpt cpt(0, 2, {}, {});
   cpt.SetProb(0, 0, 0.9);
   cpt.SetProb(0, 1, 0.1);
-  const std::vector<double> cumulative = cpt.CumulativeRows();
+  const CptSampler sampler(cpt);
   Rng rng(3);
   int zeros = 0;
   for (int i = 0; i < 5000; ++i) {
-    if (cpt.SampleCumulative(cumulative, 0, rng.UniformDouble()) == 0) {
+    if (sampler.Sample(0, rng.UniformDouble()) == 0) {
       ++zeros;
     }
   }
@@ -138,7 +139,10 @@ data::ValueCode LinearScanSample(const Cpt& cpt, size_t config, double r) {
 TEST(CptTest, CumulativeSamplerMatchesLinearScan) {
   Rng rng(2024);
   for (int trial = 0; trial < 200; ++trial) {
-    const size_t child_size = static_cast<size_t>(rng.UniformInt(1, 9));
+    // Small domains, and large ones where most guide slices hold no value
+    // or several.
+    const size_t child_size = static_cast<size_t>(
+        trial % 4 == 3 ? rng.UniformInt(10, 300) : rng.UniformInt(1, 9));
     const size_t parent_size = static_cast<size_t>(rng.UniformInt(1, 4));
     Cpt cpt(0, child_size, {1}, {parent_size});
     for (size_t cfg = 0; cfg < cpt.num_configs(); ++cfg) {
@@ -154,23 +158,55 @@ TEST(CptTest, CumulativeSamplerMatchesLinearScan) {
     if (trial % 2 == 1) {
       for (double& p : cpt.mutable_flat()) p *= 0.8;
     }
-    const std::vector<double> cumulative = cpt.CumulativeRows();
+    const CptSampler sampler(cpt);
     for (size_t cfg = 0; cfg < cpt.num_configs(); ++cfg) {
       std::vector<double> draws = {0.0, 0.79999, 0.8, 0.99999,
                                    std::nextafter(1.0, 0.0)};
       for (int i = 0; i < 50; ++i) draws.push_back(rng.UniformDouble());
-      // Exact running sums are the boundaries where the two could differ.
+      // Exact running sums and guide slice starts are the boundaries where
+      // the two could differ.
+      double acc = 0;
       for (size_t j = 0; j < child_size; ++j) {
-        draws.push_back(cumulative[cfg * child_size + j]);
+        acc += cpt.Prob(cfg, static_cast<data::ValueCode>(j));
+        draws.push_back(acc);
+        draws.push_back(static_cast<double>(j) /
+                        static_cast<double>(child_size));
       }
       for (double r : draws) {
-        const data::ValueCode got = cpt.SampleCumulative(cumulative, cfg, r);
+        const data::ValueCode got = sampler.Sample(cfg, r);
         ASSERT_EQ(got, LinearScanSample(cpt, cfg, r))
             << "trial " << trial << " config " << cfg << " r " << r;
         if (child_size > 1 && got + 1 < static_cast<int>(child_size)) {
           EXPECT_GT(cpt.Prob(cfg, got), 0.0) << "drew a zero-mass value";
         }
       }
+    }
+  }
+}
+
+TEST(CptTest, SamplerSearchesDecreasingRowsWithUpperBound) {
+  // Rows whose running sums dip (a negative entry) or turn NaN take no
+  // guide: the draw is std::upper_bound's over the sums, as it always was.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> rows = {
+      {0.5, -0.3, 0.4, 0.4}, {0.2, nan, 0.3, 0.5}, {0.1, 0.2, 0.3, 0.4}};
+  Cpt cpt(0, 4, {1}, {3});
+  for (size_t cfg = 0; cfg < rows.size(); ++cfg) {
+    for (size_t j = 0; j < 4; ++j) {
+      cpt.SetProb(cfg, static_cast<data::ValueCode>(j), rows[cfg][j]);
+    }
+  }
+  const CptSampler sampler(cpt);
+  for (size_t cfg = 0; cfg < rows.size(); ++cfg) {
+    std::vector<double> sums;
+    double acc = 0;
+    for (double p : rows[cfg]) sums.push_back(acc += p);
+    for (double r = 0; r < 1; r += 1.0 / 64) {
+      const size_t j = static_cast<size_t>(
+          std::upper_bound(sums.begin(), sums.end(), r) - sums.begin());
+      EXPECT_EQ(sampler.Sample(cfg, r),
+                static_cast<data::ValueCode>(std::min<size_t>(j, 3)))
+          << "config " << cfg << " r " << r;
     }
   }
 }
@@ -320,28 +356,32 @@ TEST(BayesNetTest, SampleTableMatchesPerTupleLinearScan) {
 
 TEST(BayesNetTest, SampleTablesEqualSequentialCallsAtAnyPoolSize) {
   const BayesianNetwork network = RandomNetwork(47);
-  constexpr size_t kTables = 7;
-  constexpr size_t kRows = 1500;
   constexpr uint64_t kSeed = 42;
-  Rng rng(kSeed);
-  std::vector<data::Table> sequential;
-  for (size_t k = 0; k < kTables; ++k) {
-    sequential.push_back(network.SampleTable(kRows, 3e4, rng));
-  }
-  for (size_t threads :
-       {size_t{1}, size_t{2}, util::DefaultParallelism()}) {
-    util::ThreadPool pool(threads);
-    const std::vector<data::Table> fanned =
-        network.SampleTables(kTables, kRows, 3e4, kSeed, pool);
-    ASSERT_EQ(fanned.size(), kTables);
-    for (size_t k = 0; k < kTables; ++k) {
-      SCOPED_TRACE("pool " + std::to_string(threads) + " table " +
-                   std::to_string(k));
-      ExpectSameTable(fanned[k], sequential[k]);
+  // More tables than threads, so tasks queue behind the relay; 0 and 1
+  // rows make every table start from the same or the next engine state.
+  for (const auto& [tables, rows] :
+       {std::pair<size_t, size_t>{7, 1500}, {13, 1500}, {13, 1}, {13, 0}}) {
+    Rng rng(kSeed);
+    std::vector<data::Table> sequential;
+    for (size_t k = 0; k < tables; ++k) {
+      sequential.push_back(network.SampleTable(rows, 3e4, rng));
+    }
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+      util::ThreadPool pool(threads);
+      const std::vector<data::Table> fanned =
+          network.SampleTables(tables, rows, 3e4, kSeed, pool);
+      ASSERT_EQ(fanned.size(), tables);
+      for (size_t k = 0; k < tables; ++k) {
+        SCOPED_TRACE(std::to_string(tables) + " tables of " +
+                     std::to_string(rows) + " rows, pool " +
+                     std::to_string(threads) + ", table " +
+                     std::to_string(k));
+        ExpectSameTable(fanned[k], sequential[k]);
+      }
     }
   }
   util::ThreadPool pool(2);
-  EXPECT_TRUE(network.SampleTables(0, kRows, 3e4, kSeed, pool).empty());
+  EXPECT_TRUE(network.SampleTables(0, 1500, 3e4, kSeed, pool).empty());
 }
 
 TEST(InferenceTest, FullEvidenceEqualsJoint) {
