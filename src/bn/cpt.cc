@@ -84,8 +84,7 @@ bool Cpt::RowsAreSimplexes(double tol) const {
 CptSampler::CptSampler(const Cpt& cpt)
     : child_size_(cpt.child_size()),
       cumulative_(cpt.flat().size()),
-      guide_(cpt.flat().size()),
-      guided_(cpt.num_configs(), cpt.child_size() > 0) {
+      guide_(cpt.flat().size()) {
   const size_t n = child_size_;
   for (size_t cfg = 0; cfg < cpt.num_configs(); ++cfg) {
     double* row = cumulative_.data() + cfg * n;
@@ -93,9 +92,6 @@ CptSampler::CptSampler(const Cpt& cpt)
     for (size_t j = 0; j < n; ++j) {
       acc += cpt.flat()[cfg * n + j];
       row[j] = acc;
-      if (std::isnan(acc) || (j > 0 && acc < row[j - 1])) {
-        guided_[cfg] = false;
-      }
     }
     // guide[slice]: the first value whose sum exceeds slice / n.
     size_t j = 0;

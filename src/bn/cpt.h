@@ -78,8 +78,8 @@ class Cpt {
 /// value past each of child_size() equal slices of [0, 1)) starts the
 /// search next to that value, so a draw from a large domain costs a step
 /// or two instead of a binary search; the value found is the one
-/// std::upper_bound finds. A row whose running sums decrease somewhere (a
-/// negative or NaN entry) is searched with std::upper_bound itself.
+/// std::upper_bound finds. Every entry must be non-negative, so that the
+/// running sums never decrease.
 class CptSampler {
  public:
   explicit CptSampler(const Cpt& cpt);
@@ -87,18 +87,13 @@ class CptSampler {
   data::ValueCode Sample(size_t config, double r) const {
     const size_t n = child_size_;
     const double* row = cumulative_.data() + config * n;
-    size_t j;
-    if (guided_[config]) {
-      const size_t slice =
-          r > 0 ? std::min(static_cast<size_t>(r * static_cast<double>(n)),
-                           n - 1)
-                : 0;
-      j = guide_[config * n + slice];
-      while (j > 0 && row[j - 1] > r) --j;
-      while (j < n && row[j] <= r) ++j;
-    } else {
-      j = static_cast<size_t>(std::upper_bound(row, row + n, r) - row);
-    }
+    const size_t slice =
+        r > 0 ? std::min(static_cast<size_t>(r * static_cast<double>(n)),
+                         n - 1)
+              : 0;
+    size_t j = guide_[config * n + slice];
+    while (j > 0 && row[j - 1] > r) --j;
+    while (j < n && row[j] <= r) ++j;
     return static_cast<data::ValueCode>(std::min(j, n - 1));
   }
 
@@ -106,7 +101,6 @@ class CptSampler {
   size_t child_size_;
   std::vector<double> cumulative_;  // laid out like Cpt::flat()
   std::vector<uint32_t> guide_;     // [config][slice]
-  std::vector<bool> guided_;        // [config]: sums never decrease
 };
 
 }  // namespace themis::bn

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 
 #include "util/logging.h"
 
@@ -41,72 +40,23 @@ double AggregateScoreSource::total() const {
   return best;
 }
 
-namespace {
-
-/// N_k of every entry of `joint`, in its iteration order: the mass of the
-/// entry's parent configuration (its codes at `ppos`), each configuration
-/// summed over the joint's entries in iteration order from 0.0, exactly as
-/// FreqTable::MarginalizeTo sums it. Counts into one dense cell per
-/// configuration (code + 1 per parent, so null has its own) when there
-/// are at most max(2^16, 4 * groups) of them; through MarginalizeTo's
-/// table otherwise.
-std::vector<double> ParentMassPerEntry(const stats::FreqTable& joint,
-                                       const std::vector<size_t>& parents,
-                                       const std::vector<size_t>& ppos) {
-  const size_t groups = joint.num_groups();
-  std::vector<double> out;
-  out.reserve(groups);
-  std::vector<uint64_t> radix(ppos.size(), 1);
-  bool dense = true;
-  for (const auto& [key, c] : joint.entries()) {
-    for (size_t i = 0; i < ppos.size(); ++i) {
-      dense = dense && key[ppos[i]] >= data::kNullCode;
-      radix[i] = std::max<uint64_t>(radix[i], key[ppos[i]] + 2);
-    }
-  }
-  const uint64_t max_cells = std::max<uint64_t>(1 << 16, 4 * groups);
-  uint64_t cells = 1;
-  for (uint64_t r : radix) {
-    dense = dense && cells <= max_cells / r;
-    if (dense) cells *= r;
-  }
-  if (!dense) {
-    const stats::FreqTable marginal = joint.MarginalizeTo(parents);
-    data::TupleKey pkey(ppos.size());
-    for (const auto& [key, c] : joint.entries()) {
-      for (size_t i = 0; i < ppos.size(); ++i) pkey[i] = key[ppos[i]];
-      out.push_back(marginal.Mass(pkey));
-    }
-    return out;
-  }
-  std::vector<double> mass(cells, 0.0);
-  std::vector<uint64_t> entry_cell;
-  entry_cell.reserve(groups);
-  for (const auto& [key, c] : joint.entries()) {
-    uint64_t cell = 0;
-    for (size_t i = 0; i < ppos.size(); ++i) {
-      cell = cell * radix[i] + static_cast<uint64_t>(key[ppos[i]] + 1);
-    }
-    entry_cell.push_back(cell);
-    mass[cell] += c;
-  }
-  for (uint64_t cell : entry_cell) out.push_back(mass[cell]);
-  return out;
-}
-
-}  // namespace
-
-Result<double> FamilyBicScore(const ScoreSource& source,
-                              const data::Schema& schema, size_t child,
-                              const std::vector<size_t>& parents) {
+Result<stats::FreqTable> FamilyJointCounts(
+    const ScoreSource& source, size_t child,
+    const std::vector<size_t>& parents) {
   std::vector<size_t> family = parents;
   family.push_back(child);
   std::sort(family.begin(), family.end());
   if (!source.HasSupport(family)) {
     return Status::NotFound("family lacks support in the score source");
   }
+  return source.JointCounts(family);
+}
+
+Result<double> FamilyBicScore(const ScoreSource& source,
+                              const data::Schema& schema, size_t child,
+                              const std::vector<size_t>& parents) {
   THEMIS_ASSIGN_OR_RETURN(stats::FreqTable joint,
-                          source.JointCounts(family));
+                          FamilyJointCounts(source, child, parents));
   return FamilyBicScore(joint, source.total(), schema, child, parents);
 }
 
@@ -139,13 +89,13 @@ Result<double> FamilyBicScore(const stats::FreqTable& joint, double n,
       auto it = std::find(family.begin(), family.end(), p);
       ppos.push_back(static_cast<size_t>(it - family.begin()));
     }
-    const std::vector<double> parent_mass =
-        ParentMassPerEntry(joint, sorted_parents, ppos);
-    size_t entry = 0;
+    const stats::FreqTable parent_marginal =
+        joint.MarginalizeTo(sorted_parents);
+    data::TupleKey pkey(ppos.size());
     for (const auto& [key, c] : joint.entries()) {
-      const double mass = parent_mass[entry++];
       if (c <= 0) continue;
-      const double nk = mass * scale;
+      for (size_t i = 0; i < ppos.size(); ++i) pkey[i] = key[ppos[i]];
+      const double nk = parent_marginal.Mass(pkey) * scale;
       const double njk = c * scale;
       ll += njk * std::log(njk / nk);
     }

@@ -60,6 +60,13 @@ class AggregateScoreSource : public ScoreSource {
   const aggregate::AggregateSet* aggregates_;
 };
 
+/// Joint counts over the family {child} ∪ parents (its attrs() sorted), or
+/// NotFound when `source` lacks support for it (BuildEdges' support test,
+/// Alg 3).
+Result<stats::FreqTable> FamilyJointCounts(const ScoreSource& source,
+                                           size_t child,
+                                           const std::vector<size_t>& parents);
+
 /// BIC score of the family (child | parents): the maximized family
 /// log-likelihood minus the (log N / 2) · q_i(r_i − 1) complexity penalty.
 /// Structure score is the sum of family scores; the learner works with
@@ -70,7 +77,7 @@ Result<double> FamilyBicScore(const ScoreSource& source,
                               const std::vector<size_t>& parents);
 
 /// The same score from the family's joint counts: `joint` is
-/// source.JointCounts over the sorted family {child} ∪ parents and `n` is
+/// FamilyJointCounts(source, child, parents) and `n` is
 /// source.total(). Lets a caller scoring i→j and j→i count {i, j} once.
 Result<double> FamilyBicScore(const stats::FreqTable& joint, double n,
                               const data::Schema& schema, size_t child,

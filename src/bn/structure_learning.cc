@@ -37,24 +37,22 @@ class ScoreCache {
     std::sort(parents.begin(), parents.end());
     auto it = cache_.find(Key(child, parents));
     if (it != cache_.end()) return it->second;
-    std::vector<size_t> family = parents;
-    family.push_back(child);
-    std::sort(family.begin(), family.end());
+    constexpr double kUnsupported = std::numeric_limits<double>::quiet_NaN();
     const Result<stats::FreqTable> joint =
-        source_.HasSupport(family)
-            ? source_.JointCounts(family)
-            : Status::NotFound("family lacks support in the score source");
+        FamilyJointCounts(source_, child, parents);
+    if (!joint.ok()) {
+      return cache_.emplace(Key(child, parents), kUnsupported).first->second;
+    }
+    const std::vector<size_t>& family = joint->attrs();
     for (size_t member : family) {
       std::vector<size_t> others;
       for (size_t a : family) {
         if (a != member) others.push_back(a);
       }
       const Result<double> result =
-          joint.ok() ? FamilyBicScore(*joint, total_, schema_, member, others)
-                     : Result<double>(joint.status());
+          FamilyBicScore(*joint, total_, schema_, member, others);
       cache_.emplace(Key(member, others),
-                     result.ok() ? *result
-                                 : std::numeric_limits<double>::quiet_NaN());
+                     result.ok() ? *result : kUnsupported);
     }
     return cache_.at(Key(child, parents));
   }

@@ -1,7 +1,6 @@
 #include "data/csv.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -33,58 +32,27 @@ Status WriteCsv(const Table& table, const std::string& path) {
 }
 
 Result<CsvParser> CsvParser::Open(const std::string& path) {
-  CsvParser csv(path);
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return Status::IoError("cannot open '" + path + "' for read");
+  CsvParser csv(path);
   struct stat st;
-  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
-    void* map = ::mmap(nullptr, static_cast<size_t>(st.st_size),
-                       PROT_READ | PROT_WRITE, MAP_PRIVATE, fd, 0);
-    if (map != MAP_FAILED) {
-      ::close(fd);
-      csv.data_ = static_cast<char*>(map);
-      csv.size_ = static_cast<size_t>(st.st_size);
-      csv.mapped_ = true;
-      return csv;
-    }
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
+    csv.buffer_.reserve(static_cast<size_t>(st.st_size));
   }
   char chunk[1 << 16];
   ssize_t got;
   while ((got = ::read(fd, chunk, sizeof(chunk))) > 0) {
-    csv.read_.append(chunk, static_cast<size_t>(got));
+    csv.buffer_.append(chunk, static_cast<size_t>(got));
   }
   ::close(fd);
   if (got < 0) return Status::IoError("read from '" + path + "' failed");
-  csv.data_ = csv.read_.data();
-  csv.size_ = csv.read_.size();
   return csv;
-}
-
-CsvParser::CsvParser(CsvParser&& other) noexcept
-    : path_(std::move(other.path_)),
-      data_(other.data_),
-      size_(other.size_),
-      mapped_(other.mapped_),
-      read_(std::move(other.read_)),
-      pos_(other.pos_),
-      line_(other.line_),
-      next_line_(other.next_line_),
-      fields_(std::move(other.fields_)),
-      status_(std::move(other.status_)) {
-  if (!mapped_) data_ = read_.data();  // a short string moves its bytes
-  other.mapped_ = false;
-  other.data_ = nullptr;
-  other.size_ = 0;
-}
-
-CsvParser::~CsvParser() {
-  if (mapped_) ::munmap(data_, size_);
 }
 
 bool CsvParser::Next(bool skip_blank) {
   fields_.clear();
-  char* const data = data_;
-  const size_t size = size_;
+  char* const data = buffer_.data();
+  const size_t size = buffer_.size();
   // A physical line of whitespace only is blank, as Trim sees it.
   while (skip_blank && pos_ < size) {
     size_t p = pos_;

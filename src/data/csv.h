@@ -31,22 +31,18 @@ Result<Table> ReadCsv(const std::string& path);
 ///   THEMIS_RETURN_IF_ERROR(csv.status());
 class CsvParser {
  public:
-  /// Maps all of `path` (copy-on-write, so unescaping never reaches the
-  /// file; a pipe is read into memory instead); IoError when it cannot be
-  /// opened or read.
+  /// Reads all of `path` into memory; IoError when it cannot be opened or
+  /// read.
   static Result<CsvParser> Open(const std::string& path);
-
-  CsvParser(CsvParser&& other) noexcept;
-  CsvParser& operator=(CsvParser&&) = delete;
-  ~CsvParser();
 
   /// Parses the next record into fields(). With `skip_blank`, physical
   /// lines holding only whitespace are skipped first. Returns false at the
   /// end of the input, or on a parse error (see status()).
   bool Next(bool skip_blank = true);
 
-  /// The fields of the last record Next returned. A view stays valid for
-  /// the parser's lifetime; the vector is reused by the next call.
+  /// The fields of the last record Next returned. A view stays valid until
+  /// the parser is moved or destroyed; the vector is reused by the next
+  /// call.
   const std::vector<std::string_view>& fields() const { return fields_; }
 
   /// Physical line (1-based) on which the last record began.
@@ -59,14 +55,7 @@ class CsvParser {
   explicit CsvParser(std::string path) : path_(std::move(path)) {}
 
   std::string path_;
-  // The file's bytes: a private mapping of the file, or `read_` for input
-  // that cannot be mapped. A mapping keeps a large read buffer out of the
-  // allocator, whose mmap threshold would otherwise rise to its size once
-  // it is freed, leaving later model-sized allocations on the heap.
-  char* data_ = nullptr;
-  size_t size_ = 0;
-  bool mapped_ = false;
-  std::string read_;
+  std::string buffer_;  // the file's bytes, unescaped in place
   size_t pos_ = 0;
   size_t line_ = 0;
   size_t next_line_ = 1;

@@ -99,71 +99,6 @@ TEST(ScoreTest, UnsupportedFamilyReportsNotFound) {
   EXPECT_FALSE(FamilyBicScore(source, *d.schema, 2, {1}).ok());
 }
 
-/// FamilyBicScore from a joint as it was computed before parent masses
-/// were counted densely: MarginalizeTo, then one lookup per entry.
-double ReferenceBicScore(const stats::FreqTable& joint, double n,
-                         const data::Schema& schema, size_t child,
-                         const std::vector<size_t>& parents) {
-  const std::vector<size_t>& family = joint.attrs();
-  const double scale = n / joint.TotalMass();
-  std::vector<size_t> sorted_parents = parents;
-  std::sort(sorted_parents.begin(), sorted_parents.end());
-  const stats::FreqTable marginal = joint.MarginalizeTo(sorted_parents);
-  std::vector<size_t> ppos;
-  for (size_t p : sorted_parents) {
-    ppos.push_back(static_cast<size_t>(
-        std::find(family.begin(), family.end(), p) - family.begin()));
-  }
-  double ll = 0;
-  for (const auto& [key, c] : joint.entries()) {
-    if (c <= 0) continue;
-    data::TupleKey pkey(ppos.size());
-    for (size_t i = 0; i < ppos.size(); ++i) pkey[i] = key[ppos[i]];
-    const double nk = marginal.Mass(pkey) * scale;
-    const double njk = c * scale;
-    ll += njk * std::log(njk / nk);
-  }
-  double q = 1;
-  for (size_t p : parents) q *= static_cast<double>(schema.domain(p).size());
-  const double params =
-      q * (static_cast<double>(schema.domain(child).size()) - 1.0);
-  return ll - 0.5 * std::log(std::max(n, 2.0)) * params;
-}
-
-TEST(ScoreTest, ParentMassesMatchTheMarginalTableBitwise) {
-  auto schema = std::make_shared<data::Schema>();
-  for (const char* name : {"a", "b", "c"}) {
-    schema->AddAttribute(name, {"0", "1", "2"});
-  }
-  Rng rng(77);
-  // Small codes count parent masses densely; codes near 70,000 put two
-  // parents' cell space past the dense bound and use the marginal table.
-  for (int64_t max_code : {4, 70000}) {
-    for (int trial = 0; trial < 20; ++trial) {
-      stats::FreqTable joint({0, 1, 2});
-      for (int e = 0; e < 400; ++e) {
-        data::TupleKey key(3);
-        for (auto& code : key) {
-          code = static_cast<data::ValueCode>(rng.UniformInt(-1, max_code));
-        }
-        // Some zero masses, which the score skips but the marginal sums.
-        joint.Add(key, rng.Bernoulli(0.1) ? 0.0 : rng.UniformDouble(0, 9));
-      }
-      const double n = rng.UniformDouble(100, 1e6);
-      for (const std::vector<size_t>& parents :
-           {std::vector<size_t>{1}, {0, 2}, {2, 0}}) {
-        const size_t child = parents.size() == 1 ? 2 : 1;
-        const auto got = FamilyBicScore(joint, n, *schema, child, parents);
-        ASSERT_TRUE(got.ok());
-        EXPECT_EQ(std::bit_cast<uint64_t>(*got),
-                  std::bit_cast<uint64_t>(
-                      ReferenceBicScore(joint, n, *schema, child, parents)))
-            << "max code " << max_code << " trial " << trial;
-      }
-    }
-  }
-}
-
 TEST(StructureLearningTest, FindsTheDependentEdgeFromAggregates) {
   DependentData d;
   StructureLearnOptions options;

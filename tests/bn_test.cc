@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -180,33 +179,6 @@ TEST(CptTest, CumulativeSamplerMatchesLinearScan) {
           EXPECT_GT(cpt.Prob(cfg, got), 0.0) << "drew a zero-mass value";
         }
       }
-    }
-  }
-}
-
-TEST(CptTest, SamplerSearchesDecreasingRowsWithUpperBound) {
-  // Rows whose running sums dip (a negative entry) or turn NaN take no
-  // guide: the draw is std::upper_bound's over the sums, as it always was.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const std::vector<std::vector<double>> rows = {
-      {0.5, -0.3, 0.4, 0.4}, {0.2, nan, 0.3, 0.5}, {0.1, 0.2, 0.3, 0.4}};
-  Cpt cpt(0, 4, {1}, {3});
-  for (size_t cfg = 0; cfg < rows.size(); ++cfg) {
-    for (size_t j = 0; j < 4; ++j) {
-      cpt.SetProb(cfg, static_cast<data::ValueCode>(j), rows[cfg][j]);
-    }
-  }
-  const CptSampler sampler(cpt);
-  for (size_t cfg = 0; cfg < rows.size(); ++cfg) {
-    std::vector<double> sums;
-    double acc = 0;
-    for (double p : rows[cfg]) sums.push_back(acc += p);
-    for (double r = 0; r < 1; r += 1.0 / 64) {
-      const size_t j = static_cast<size_t>(
-          std::upper_bound(sums.begin(), sums.end(), r) - sums.begin());
-      EXPECT_EQ(sampler.Sample(cfg, r),
-                static_cast<data::ValueCode>(std::min<size_t>(j, 3)))
-          << "config " << cfg << " r " << r;
     }
   }
 }
