@@ -31,25 +31,14 @@
 // latency, and --json writes them (latency keys end in _ms so
 // tools/check_bench.py gates them lower-is-better). With --smoke the
 // sweep shrinks to one round — the CI high-connection smoke.
-//
-// --dupes switches to the duplicate-heavy thundering-herd mode: 16
-// clients stream the same Zipf-skewed GROUP BY sequence against a
-// baseline server (single-flight coalescing and the response byte
-// cache both disabled) and a fully hot-pathed one (both enabled),
-// bitwise-checking every answer; the gate is the QPS ratio. Ends with a deterministic leader-parked coalescing probe so
-// the CI smoke's coalesced_hits assertion never depends on scheduler
-// timing. With --smoke the 2x bar no longer sets the exit code; the
-// round count is still the positional [rounds].
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <future>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -501,266 +490,6 @@ int OpenLoop(size_t connections, size_t rounds, const std::string& json_path,
   return 0;
 }
 
-/// Reusable cyclic barrier: every client arrives, then the step fires.
-/// Keeps the herd aligned — without it closed-loop clients drift apart
-/// within a few requests and the duplicates stop overlapping in time.
-class StepBarrier {
- public:
-  explicit StepBarrier(size_t parties) : parties_(parties) {}
-
-  void ArriveAndWait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    const uint64_t arrived_in = generation_;
-    if (++waiting_ == parties_) {
-      waiting_ = 0;
-      ++generation_;
-      cv_.notify_all();
-    } else {
-      cv_.wait(lock, [&] { return generation_ != arrived_in; });
-    }
-  }
-
- private:
-  const size_t parties_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  size_t waiting_ = 0;
-  uint64_t generation_ = 0;
-};
-
-/// The duplicate-heavy mode the coalescing layer exists for: kClients
-/// clients stream the SAME Zipf-skewed sequence over a fixed GROUP BY
-/// query set in lockstep (a barrier between steps) — the aligned
-/// thundering herd of a real interactive fleet, where a dashboard tick
-/// makes every user fire the head queries within milliseconds of each
-/// other. The identical workload runs against two server configurations:
-/// the baseline (single-flight coalescing and the response byte cache
-/// both disabled — exactly the pre-coalescing serving path) and the
-/// coalesced server (both enabled). On a cold
-/// query the baseline's herd all miss the result memo and execute the
-/// plan kClients times; the coalesced server executes it once and
-/// attaches the rest as followers. The memo is cleared before every
-/// round in both runs so each herd arrives cold, every answer is
-/// bitwise-checked against the in-process oracle, and the gate is the
-/// QPS ratio — which measures avoided duplicate work, so it holds on any
-/// core count.
-int Dupes(size_t rounds, bool smoke, const std::string& json_path) {
-  constexpr size_t kClients = 16;
-  constexpr double kZipfSkew = 1.1;
-  PrintHeader("Serving duplicate-heavy bench",
-              "Zipf thundering herd: coalesced vs per-request submission");
-  BenchScale scale;
-  // A cold GROUP BY must cost real work for the measurement to be about
-  // redundant execution rather than wire overhead: at the default scale a
-  // plan finishes inside one scheduler quantum, the herd serializes, and
-  // both configurations degenerate to memo hits.
-  scale.flights_rows *= 8;
-  DatasetSetup flights = MakeFlights(scale);
-  aggregate::AggregateSet aggs =
-      MakePaperAggregates(flights.population, flights.covered_attrs, 5, 4);
-  core::ThemisOptions options = BenchOptions();
-  // One pool thread per herd member: the baseline's duplicate requests
-  // must be able to START concurrently (all missing the cold memo) for
-  // the run to measure the redundant work coalescing avoids — with a
-  // narrow pool the queue itself serializes the herd and the memo hides
-  // the problem. The same width serves the coalesced run, where all but
-  // one of those threads park as followers. Also guarantees the >= 2
-  // threads the deterministic probe below needs on a one-CPU runner.
-  options.num_threads =
-      std::max<size_t>(kClients, std::thread::hardware_concurrency());
-  core::ThemisDb db(options);
-  THEMIS_CHECK_OK(
-      db.InsertSample("flights", flights.samples.at("Corners").Clone()));
-  for (const auto& spec : aggs.specs()) {
-    THEMIS_CHECK_OK(db.InsertAggregate("flights", spec));
-  }
-  THEMIS_CHECK_OK(db.Build());
-
-  // GROUP BY-only query set (num_points = 0): expensive, memoizable —
-  // the traffic shape where a herd racing past a cold memo hurts most.
-  const std::vector<std::string> sqls =
-      MakeRelationWorkload(flights, "flights", 0);
-  std::vector<sql::QueryResult> expected;
-  for (const std::string& sql : sqls) {
-    auto result = db.Query(sql);
-    THEMIS_CHECK_OK(result.status());
-    expected.push_back(std::move(*result));
-  }
-
-  // One shared Zipf-skewed request sequence: every client streams the
-  // same draws in the same order, so duplicates align in time. One pass
-  // over the workload per round — the memo (shared by both runs) is
-  // cleared per round, and coalescing only wins on a query's *first*
-  // herd step, so a longer sequence would just dilute the cold fraction
-  // with warm-memo steps that measure identically either way.
-  const size_t sequence_len = sqls.size();
-  std::vector<size_t> sequence;
-  sequence.reserve(sequence_len);
-  Rng rng(2026);
-  for (size_t i = 0; i < sequence_len; ++i) {
-    sequence.push_back(static_cast<size_t>(
-        rng.Zipf(static_cast<int64_t>(sqls.size()), kZipfSkew)));
-  }
-
-  const core::HybridEvaluator* evaluator = db.catalog().evaluator("flights");
-  THEMIS_CHECK(evaluator != nullptr);
-
-  server::ServerCounters coalesced_counters;
-  core::ResultMemoStats coalesced_memo;
-  const auto run = [&](bool coalesced) -> double {
-    db.catalog().SetCoalescingEnabled(coalesced);
-    server::QueryServer::Options server_options;
-    // The response byte cache rides with the coalesced configuration:
-    // round 1 of a query is a miss (the herd coalesces into one flight,
-    // whose encoded bytes are admitted), and every later round is served
-    // from cached bytes on the I/O thread — no admission slot, no pool
-    // handoff, no re-encode. The per-round ClearResultMemo below does
-    // not touch the byte cache, exactly as a production dashboard's
-    // repeat ticks would find it warm.
-    server_options.enable_response_cache = coalesced;
-    server::QueryServer server(&db.catalog(), server_options);
-    THEMIS_CHECK_OK(server.Start());
-    double seconds = 0;
-    for (size_t round = 0; round < rounds; ++round) {
-      evaluator->ClearResultMemo();  // every herd arrives cold
-      StepBarrier barrier(kClients);
-      Timer timer;
-      std::vector<std::thread> threads;
-      for (size_t c = 0; c < kClients; ++c) {
-        threads.emplace_back([&] {
-          auto client = server::Client::Connect(server.port());
-          THEMIS_CHECK(client.ok()) << client.status().ToString();
-          for (const size_t q : sequence) {
-            barrier.ArriveAndWait();  // the herd fires together
-            auto result = client->Query(sqls[q]);
-            THEMIS_CHECK(result.ok())
-                << sqls[q] << ": " << result.status().ToString();
-            CheckIdentical(*result, expected[q], sqls[q]);
-          }
-        });
-      }
-      for (std::thread& t : threads) t.join();
-      seconds += timer.Seconds();
-    }
-    if (coalesced) {
-      auto stats_client = server::Client::Connect(server.port());
-      THEMIS_CHECK(stats_client.ok());
-      auto stats = stats_client->Stats();
-      THEMIS_CHECK(stats.ok()) << stats.status().ToString();
-      coalesced_counters = stats->server;
-      coalesced_memo = stats->relations.at("flights").result_memo;
-    }
-    server.Stop();
-    return static_cast<double>(kClients * rounds * sequence.size()) /
-           seconds;
-  };
-
-  const double baseline_qps = run(false);
-  std::printf("  baseline  (no coalescing, no byte cache): %8.0f q/s\n",
-              baseline_qps);
-  const double coalesced_qps = run(true);
-  std::printf(
-      "  coalesced (single-flight + byte cache): %8.0f q/s "
-      "(coalesced_hits=%zu flights=%zu response_cache_hits=%zu "
-      "responses_encoded=%zu)\n",
-      coalesced_qps, coalesced_memo.coalesced_hits,
-      coalesced_memo.coalesced_flights,
-      coalesced_counters.response_cache_hits,
-      coalesced_counters.responses_encoded);
-  const double speedup =
-      baseline_qps > 0 ? coalesced_qps / baseline_qps : 0;
-  std::printf("  duplicate-heavy speedup: %.2fx %s\n", speedup,
-              speedup >= 2.0 ? "(>= 2x: coalescing win demonstrated)"
-                             : "(below the 2x bar)");
-
-  // Deterministic coalescing probe — the CI assertion that a duplicate
-  // burst really attaches followers, independent of scheduler timing:
-  // park the first uncached execution until a duplicate has joined its
-  // flight, then release and bitwise-check both answers.
-  {
-    db.catalog().SetCoalescingEnabled(true);
-    evaluator->ClearResultMemo();
-    const size_t hits_before = evaluator->result_memo_stats().coalesced_hits;
-    std::promise<void> release;
-    std::shared_future<void> released = release.get_future().share();
-    auto first = std::make_shared<std::atomic<bool>>(true);
-    evaluator->set_uncached_execute_hook([released, first] {
-      if (first->exchange(false)) released.wait();
-    });
-    server::QueryServer server(&db.catalog());
-    THEMIS_CHECK_OK(server.Start());
-    auto leader = server::Client::Connect(server.port());
-    auto follower = server::Client::Connect(server.port());
-    THEMIS_CHECK(leader.ok() && follower.ok());
-    const size_t q = sequence.front();
-    THEMIS_CHECK_OK(leader->Send(server::EncodeRequest(
-        [&] { server::WireRequest r; r.sql = sqls[q]; return r; }())));
-    THEMIS_CHECK_OK(follower->Send(server::EncodeRequest(
-        [&] { server::WireRequest r; r.sql = sqls[q]; return r; }())));
-    while (evaluator->result_memo_stats().coalesced_hits <= hits_before) {
-      std::this_thread::yield();
-    }
-    release.set_value();
-    for (auto* client : {&*leader, &*follower}) {
-      auto line = client->Receive();
-      THEMIS_CHECK(line.ok()) << line.status().ToString();
-      auto result = server::DecodeResultResponse(*line);
-      THEMIS_CHECK(result.ok()) << *line;
-      CheckIdentical(*result, expected[q], sqls[q]);
-    }
-    evaluator->set_uncached_execute_hook(nullptr);
-    server.Stop();
-    const size_t probe_hits =
-        evaluator->result_memo_stats().coalesced_hits - hits_before;
-    THEMIS_CHECK(probe_hits >= 1) << probe_hits;
-    THEMIS_CHECK(coalesced_memo.coalesced_hits + probe_hits > 0);
-    std::printf(
-        "  deterministic duplicate burst: leader executed once, "
-        "%zu follower(s) coalesced, answers bitwise ok\n",
-        probe_hits);
-  }
-
-  if (!json_path.empty()) {
-    server::JsonValue root = server::JsonValue::Object();
-    root.Set("bench", server::JsonValue::String("serving_dupes"));
-    root.Set("rounds",
-             server::JsonValue::Number(static_cast<double>(rounds)));
-    root.Set("clients",
-             server::JsonValue::Number(static_cast<double>(kClients)));
-    root.Set("zipf_skew", server::JsonValue::Number(kZipfSkew));
-    root.Set("sequence_len", server::JsonValue::Number(
-                                 static_cast<double>(sequence.size())));
-    root.Set("unique_queries",
-             server::JsonValue::Number(static_cast<double>(sqls.size())));
-    root.Set("baseline_qps", server::JsonValue::Number(baseline_qps));
-    root.Set("coalesced_qps", server::JsonValue::Number(coalesced_qps));
-    root.Set("coalesced_hits",
-             server::JsonValue::Number(
-                 static_cast<double>(coalesced_memo.coalesced_hits)));
-    root.Set("response_cache_hits",
-             server::JsonValue::Number(static_cast<double>(
-                 coalesced_counters.response_cache_hits)));
-    root.Set("responses_encoded",
-             server::JsonValue::Number(static_cast<double>(
-                 coalesced_counters.responses_encoded)));
-    root.Set("hardware_concurrency",
-             server::JsonValue::Number(static_cast<double>(
-                 std::thread::hardware_concurrency())));
-    root.Set("simd_backend",
-             server::JsonValue::String(server::HostStatsNow().simd_backend));
-    // The gate is the ratio — avoided duplicate work, not parallelism —
-    // so it transfers across runner core counts and speeds.
-    server::JsonValue gate = server::JsonValue::Object();
-    gate.Set("dupes_speedup", server::JsonValue::Number(speedup));
-    root.Set("gate", std::move(gate));
-    std::ofstream out(json_path);
-    THEMIS_CHECK(out.good()) << json_path;
-    out << root.Dump() << "\n";
-    std::printf("  wrote %s\n", json_path.c_str());
-  }
-  return smoke ? 0 : (speedup >= 2.0 ? 0 : 1);
-}
-
 /// The CI smoke: point + GROUP BY + repeat (a byte-cache hit when the
 /// cache is on) + STATS + deterministic overload + METRICS (with the
 /// histogram-count identity checked) + graceful shutdown against a
@@ -952,7 +681,6 @@ int main(int argc, char** argv) {
   size_t connections = 0;
   bool strict = false;
   bool smoke = false;
-  bool dupes = false;
   bool no_response_cache = false;
   std::string json_path;
   std::string metrics_out;
@@ -961,8 +689,6 @@ int main(int argc, char** argv) {
       strict = true;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--dupes") == 0) {
-      dupes = true;
     } else if (std::strcmp(argv[i], "--no-response-cache") == 0) {
       no_response_cache = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
@@ -976,11 +702,6 @@ int main(int argc, char** argv) {
     }
   }
   if (rounds == 0) rounds = 1;
-  if (dupes) {
-    // --smoke only drops the 2x exit bar; the rounds stay as given, so CI
-    // can match the committed snapshot's round count.
-    return themis::bench::Dupes(rounds, smoke, json_path);
-  }
   if (connections > 0) {
     // Latency percentiles gate the committed snapshot, and check_bench
     // refuses single-round *_ms measurements — so even the CI smoke runs

@@ -1,5 +1,6 @@
 #include "core/catalog.h"
 
+#include <cmath>
 #include <utility>
 
 #include "core/query_plan.h"
@@ -88,6 +89,20 @@ Status Catalog::InsertAggregate(const std::string& name,
     if (attr >= relation.pending_sample->schema()->num_attributes()) {
       return Status::InvalidArgument("aggregate attribute out of range for '" +
                                      name + "'");
+    }
+  }
+  // The same contract the aggregate CSV reader enforces: one value per
+  // attribute, and a finite, non-negative count.
+  for (const auto& [key, count] : aggregate.groups) {
+    if (key.size() != aggregate.attrs.size()) {
+      return Status::InvalidArgument(
+          "aggregate group key length differs from its attributes for '" +
+          name + "'");
+    }
+    if (!std::isfinite(count) || count < 0) {
+      return Status::InvalidArgument(
+          "aggregate count must be finite and non-negative for '" + name +
+          "'");
     }
   }
   relation.pending_aggregates->Add(std::move(aggregate));
@@ -268,14 +283,6 @@ Result<sql::QueryResult> Catalog::QueryOn(const std::string& relation,
                           Resolve(relation, sql, trace));
   return resolved.evaluator->ExecutePlan(*resolved.plan, mode, cancel,
                                          trace);
-}
-
-void Catalog::SetCoalescingEnabled(bool enabled) const {
-  for (const auto& [name, relation] : relations_) {
-    if (relation.evaluator != nullptr) {
-      relation.evaluator->set_coalescing_enabled(enabled);
-    }
-  }
 }
 
 Result<std::vector<sql::QueryResult>> Catalog::QueryBatch(

@@ -86,7 +86,9 @@ class Catalog {
                       RelationConfig config = {});
 
   /// Adds one population aggregate to the named relation. NotFound when no
-  /// such relation exists; resets the relation's built model (call
+  /// such relation exists; InvalidArgument for an attribute out of range,
+  /// a group key whose length differs from `attrs.size()`, or a negative
+  /// or non-finite count. Resets the relation's built model (call
   /// Build(name) again).
   Status InsertAggregate(const std::string& name,
                          aggregate::AggregateSpec aggregate);
@@ -146,8 +148,8 @@ class Catalog {
   /// passing nullptr.
   ///
   /// `trace` (optional) is the per-request obs::TraceContext — spans for
-  /// plan lookup, single-flight wait, execution, and executor shard loops
-  /// record into it; null (the default) costs one pointer check per site.
+  /// plan lookup, execution, and executor shard loops record into it;
+  /// null (the default) costs one pointer check per site.
   Result<sql::QueryResult> Query(const std::string& sql,
                                  AnswerMode mode = AnswerMode::kHybrid,
                                  const util::CancelToken* cancel = nullptr,
@@ -210,12 +212,6 @@ class Catalog {
   /// movable) so a server fronting a const catalog can subscribe.
   uint64_t AddMutationListener(MutationListener listener) const;
   void RemoveMutationListener(uint64_t id) const;
-
-  /// Forwards set_coalescing_enabled to every built relation's evaluator —
-  /// the run-time toggle for single-flight query coalescing (answers are
-  /// bitwise identical either way; the serving bench measures the
-  /// uncoalesced baseline through this).
-  void SetCoalescingEnabled(bool enabled) const;
 
   /// Point-query convenience against a named relation: COUNT(*) WHERE
   /// attr1=v1 AND ... by attribute name.

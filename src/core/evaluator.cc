@@ -265,51 +265,22 @@ Result<sql::QueryResult> HybridEvaluator::ExecutePlan(
     }
     if (hit != nullptr) return *hit;
   }
-  // One uncached execution. Runs under `exec` — the caller's own token on
-  // the direct path, the flight's collective token under single-flight.
-  // `executed` flips on whichever request actually ran it — a follower
-  // that parked on another request's flight never sets it, so its trace
-  // gets the whole Run() duration as single-flight wait and (correctly)
-  // no execute span at all.
-  bool executed = false;
-  const auto execute = [this, &plan, mode, trace,
-                        &executed](const util::CancelToken* exec) {
-    executed = true;
+  sql::QueryResult result;
+  {
     obs::ScopedSpan execute_span(trace, obs::Stage::kExecute);
     if (uncached_execute_hook_) uncached_execute_hook_();
-    return ExecutePlanUncached(plan, mode, exec, trace);
-  };
-  if (!memoizable) return execute(cancel);
-  // A memoizable answer moves into one shared, immutable result that the
-  // memo entry and every coalesced follower share; each caller then makes
-  // the one by-value copy it returns.
-  const auto compute =
-      [this, &key, &execute](
-          const util::CancelToken* exec) -> Result<SharedResult> {
-    THEMIS_ASSIGN_OR_RETURN(sql::QueryResult result, execute(exec));
-    auto shared = std::make_shared<const sql::QueryResult>(std::move(result));
-    // Two executions racing the same cold plan both compute and publish
-    // the same deterministic answer; the second Put overwrites in place.
+    THEMIS_ASSIGN_OR_RETURN(result,
+                            ExecutePlanUncached(plan, mode, cancel, trace));
+  }
+  if (!memoizable) return result;
+  // Two executions racing the same cold plan both compute and publish the
+  // same deterministic answer; the second Put overwrites in place.
+  auto shared = std::make_shared<const sql::QueryResult>(std::move(result));
+  {
     std::lock_guard<std::mutex> lock(memo_mu_);
     result_memo_.Put(key, shared);
-    return shared;
-  };
-  // Single-flight closes the window the memo cannot: a thundering herd of
-  // identical requests arriving before the first completes. The herd's
-  // first request leads one execution, the rest attach as followers and
-  // share the value; followers whose own deadline fires detach without
-  // cancelling the leader, and a cancelled leader's execution survives as
-  // long as a follower still wants it (see util/single_flight.h).
-  const int64_t run_begin_ns = trace != nullptr ? util::SteadyNowNs() : 0;
-  const Result<SharedResult> shared = coalescing_enabled()
-                                          ? flights_.Run(key, cancel, compute)
-                                          : compute(cancel);
-  if (trace != nullptr && !executed) {
-    trace->RecordSpan(obs::Stage::kSingleFlightWait, run_begin_ns,
-                      util::SteadyNowNs());
   }
-  if (!shared.ok()) return shared.status();
-  return **shared;
+  return *shared;
 }
 
 sql::ExecutorStats HybridEvaluator::executor_stats() const {
@@ -327,10 +298,6 @@ ResultMemoStats HybridEvaluator::result_memo_stats() const {
     stats.entries = result_memo_.size();
     stats.evictions = result_memo_.evictions();
   }
-  const util::SingleFlightStats flights = flights_.stats();
-  stats.coalesced_flights = flights.flights;
-  stats.coalesced_hits = flights.followers;
-  stats.coalesced_detached = flights.detached;
   return stats;
 }
 

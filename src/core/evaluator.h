@@ -1,7 +1,6 @@
 #ifndef THEMIS_CORE_EVALUATOR_H_
 #define THEMIS_CORE_EVALUATOR_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -18,7 +17,6 @@
 #include "sql/executor.h"
 #include "util/cancel.h"
 #include "util/lru_cache.h"
-#include "util/single_flight.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -38,13 +36,10 @@ struct ResultMemoStats {
   size_t entries = 0;
   /// Entries dropped by the LRU bound since the evaluator was built.
   size_t evictions = 0;
-  /// Single-flight coalescing companions (see util/single_flight.h):
-  /// distinct in-flight executions led, requests that attached to an
-  /// already-running execution instead of re-executing, and followers
-  /// that detached early because their own deadline/cancel fired.
-  size_t coalesced_flights = 0;
+  /// Always 0: racing duplicates each execute and publish the same
+  /// answer. Kept only because perfbench's `core.coalesced_share` still
+  /// reads it; not on the wire.
   size_t coalesced_hits = 0;
-  size_t coalesced_detached = 0;
 
   double HitRate() const {
     const size_t total = hits + misses;
@@ -130,8 +125,8 @@ class HybridEvaluator {
   /// Plan + ExecutePlan. `cancel` (optional) is the serving layer's
   /// cooperative cancellation handle — see ExecutePlan. `trace`
   /// (optional) records per-stage spans (plan lookup, execution,
-  /// single-flight wait, executor shard loops); null costs one pointer
-  /// check per site and changes nothing else.
+  /// executor shard loops); null costs one pointer check per site and
+  /// changes nothing else.
   Result<sql::QueryResult> Query(const std::string& sql,
                                  AnswerMode mode = AnswerMode::kHybrid,
                                  const util::CancelToken* cancel = nullptr,
@@ -148,11 +143,9 @@ class HybridEvaluator {
   /// `cancel` is polled once on entry (before the memo, so an expired
   /// deadline answers kDeadlineExceeded even for a memoized plan) and
   /// once per shard inside the executors; a fired token unwinds with
-  /// kCancelled / kDeadlineExceeded and is never memoized.
-  /// `trace` additionally distinguishes the coalesced-follower case: a
-  /// request that attached to another request's in-flight execution
-  /// records the whole wait as an obs::Stage::kSingleFlightWait span and
-  /// no kExecute span at all (only the leader executed).
+  /// kCancelled / kDeadlineExceeded and is never memoized. Two requests
+  /// racing the same cold plan both execute and publish the same
+  /// deterministic answer.
   Result<sql::QueryResult> ExecutePlan(const QueryPlan& plan,
                                        AnswerMode mode,
                                        const util::CancelToken* cancel =
@@ -189,23 +182,11 @@ class HybridEvaluator {
   /// the evaluator on rebuild).
   void ClearResultMemo() const;
 
-  /// Run-time toggle for single-flight coalescing (on by default; the
-  /// serving bench turns it off to measure the uncoalesced baseline).
-  /// Const-qualified like ClearResultMemo so serving/bench code reaching
-  /// the evaluator through the catalog's const surface can flip it
-  /// between runs; answers are bitwise identical either way.
-  void set_coalescing_enabled(bool enabled) const {
-    coalescing_enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool coalescing_enabled() const {
-    return coalescing_enabled_.load(std::memory_order_relaxed);
-  }
-
   /// Test-only: runs at the start of every *uncached* plan execution on
-  /// the executing (leader) thread, after the single-flight entry has been
-  /// published — lets tests park a leader mid-flight so followers attach
-  /// deterministically. Const-qualified for the same catalog-surface
-  /// reason as set_coalescing_enabled; set it before serving traffic.
+  /// the executing thread — lets tests act (e.g. cancel) while a query is
+  /// mid-execution. Const-qualified like ClearResultMemo so tests reaching
+  /// the evaluator through the catalog's const surface can set it; set it
+  /// before serving traffic.
   void set_uncached_execute_hook(std::function<void()> hook) const {
     uncached_execute_hook_ = std::move(hook);
   }
@@ -254,11 +235,9 @@ class HybridEvaluator {
   util::ThreadPool* pool_;
   size_t shard_rows_;  // ThemisOptions::shard_rows, resolved at build
   bool result_memo_enabled_;
-  mutable std::atomic<bool> coalescing_enabled_{true};
-  /// One memoized execution's answer, shared by the memo entry and the
-  /// flight's followers; ExecutePlan copies it out once per caller.
+  /// One memoized execution's answer, held by the memo entry;
+  /// ExecutePlan copies it out once per caller.
   using SharedResult = std::shared_ptr<const sql::QueryResult>;
-  mutable util::SingleFlight<Result<SharedResult>> flights_;
   mutable std::function<void()> uncached_execute_hook_;
   mutable std::mutex memo_mu_;
   mutable LruCache<std::string, SharedResult> result_memo_{

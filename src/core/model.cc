@@ -1,6 +1,7 @@
 #include "core/model.h"
 
 #include <algorithm>
+#include <cmath>
 #include <future>
 #include <memory>
 
@@ -62,6 +63,11 @@ Result<ThemisModel> ThemisModel::Build(data::Table sample,
                                        util::ThreadPool* pool) {
   if (sample.num_rows() == 0) {
     return Status::InvalidArgument("ThemisModel: empty sample");
+  }
+  if (!std::isfinite(options.population_size) ||
+      options.population_size < 0) {
+    return Status::InvalidArgument(
+        "ThemisModel: population_size must be finite and non-negative");
   }
   Timer total_timer;
   ThemisModel model(std::move(sample), std::move(aggregates), options);

@@ -39,6 +39,7 @@ struct ThemisOptions {
   size_t aggregate_budget = 0;
 
   /// |P|; 0 infers it as the largest total count among the aggregates.
+  /// Negative or non-finite values fail Build with InvalidArgument.
   double population_size = 0;
 
   /// Disables the probabilistic model entirely (reweighting-only model);

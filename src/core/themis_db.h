@@ -38,7 +38,8 @@ class ThemisDb {
   Status InsertSample(const std::string& name, data::Table sample);
 
   /// Adds one population aggregate over the named relation's attributes.
-  /// NotFound when no such relation exists.
+  /// NotFound when no such relation exists; InvalidArgument for a
+  /// malformed group (see Catalog::InsertAggregate).
   Status InsertAggregate(const std::string& table_name,
                          aggregate::AggregateSpec aggregate);
 

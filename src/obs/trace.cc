@@ -14,8 +14,6 @@ const char* StageName(Stage stage) {
       return "queue_wait";
     case Stage::kPlanLookup:
       return "plan_lookup";
-    case Stage::kSingleFlightWait:
-      return "single_flight_wait";
     case Stage::kExecute:
       return "execute";
     case Stage::kExecutorScan:

@@ -23,7 +23,6 @@ enum class Stage {
   kAdmission,            // parse end -> admission decision
   kQueueWait,            // admitted -> pool task starts running
   kPlanLookup,           // SQL -> route + plan (plan cache); memo probe
-  kSingleFlightWait,     // follower parked on another request's flight
   kExecute,              // uncached plan execution (evaluator level)
   kExecutorScan,         // sql::Executor shard-loop portion of kExecute
   kSerialize,            // QueryResult -> response line

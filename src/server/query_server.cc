@@ -833,8 +833,9 @@ void QueryServer::FinalizeOutcome(const Result<sql::QueryResult>& result,
   if (result.ok()) {
     served_ok_.fetch_add(1, std::memory_order_relaxed);
     if (intent.eligible) {
-      // Second chance: a coalesced peer may have admitted these exact
-      // bytes while this request executed — reuse them, skip the encode.
+      // Second chance: a racing duplicate, or another text with the same
+      // plan fingerprint, may have admitted these exact bytes while this
+      // request executed — reuse them, skip the encode.
       util::ImmutableBuffer cached =
           response_cache_->LookupFull(intent.full_key);
       if (cached) {
@@ -1082,17 +1083,6 @@ std::string QueryServer::MetricsText() const {
     relation_family("themis_result_memo_entries", "Resident memo entries.",
                     "gauge", [](const core::RelationStats& s) {
                       return static_cast<double>(s.result_memo.entries);
-                    });
-    relation_family("themis_coalesced_flights_total",
-                    "Distinct single-flight executions led.", "counter",
-                    [](const core::RelationStats& s) {
-                      return static_cast<double>(
-                          s.result_memo.coalesced_flights);
-                    });
-    relation_family("themis_coalesced_hits_total",
-                    "Requests that attached to an in-flight execution.",
-                    "counter", [](const core::RelationStats& s) {
-                      return static_cast<double>(s.result_memo.coalesced_hits);
                     });
     relation_family("themis_inference_cache_hits_total",
                     "BN inference cache hits.", "counter",

@@ -214,10 +214,10 @@ class QueryServer {
 
   /// Per-request bookkeeping: bumps served_ok / served_error (+
   /// deadline/cancel tallies) and leaves the response payload in `slot` —
-  /// cached bytes when a coalesced peer admitted them first (second-chance
-  /// lookup), a fresh encode into the slot's recycled scratch buffer
-  /// otherwise (admitted to the cache when `intent` is eligible and the
-  /// relation's generation held).
+  /// cached bytes when a racing duplicate or a same-fingerprint text
+  /// admitted them first (second-chance lookup), a fresh encode into the
+  /// slot's recycled scratch buffer otherwise (admitted to the cache when
+  /// `intent` is eligible and the relation's generation held).
   void FinalizeOutcome(const Result<sql::QueryResult>& result,
                        const CacheIntent& intent, PendingResponse& slot);
 

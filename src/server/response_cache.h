@@ -12,9 +12,9 @@
 
 namespace themis::server {
 
-/// Byte-budgeted LRU over fully encoded wire response lines — the fourth
-/// (and cheapest) tier of the serving hot path, after the executor, the
-/// plan->result memo, and single-flight: a repeat of a memoizable OK
+/// Byte-budgeted LRU over fully encoded wire response lines — the third
+/// (and cheapest) tier of the serving hot path, after the executor and
+/// the plan->result memo: a repeat of a memoizable OK
 /// answer is served from its exact cached bytes on the I/O thread, with
 /// no pool handoff and no JSON encoding. Payloads are immutable and
 /// refcounted (util::ImmutableBuffer), so a hit is one shared_ptr copy.
@@ -42,8 +42,9 @@ class ResponseCache {
  public:
   struct Stats {
     /// Requests served from cached bytes (inline on the I/O thread, or
-    /// via the pool-thread second-chance lookup at encode time — a herd
-    /// follower reusing its leader's freshly admitted bytes).
+    /// via the pool-thread second-chance lookup at encode time — a
+    /// same-fingerprint text or a racing duplicate reusing bytes another
+    /// request just admitted).
     size_t hits = 0;
     /// Inline probes that found nothing (each starts a miss path; a
     /// second-chance hit later in the same request still counts here).
@@ -72,8 +73,10 @@ class ResponseCache {
   uint64_t Generation(const std::string& relation);
 
   /// Second-chance lookup by full key at encode time on a pool thread:
-  /// a coalesced follower finds the bytes its leader just admitted and
-  /// skips its own encode. Counts as a hit when found; never as a miss.
+  /// a request whose text missed the probe (a different text with the
+  /// same plan fingerprint, or a duplicate that raced an executing peer)
+  /// finds the bytes already admitted and skips its own encode. Counts as
+  /// a hit when found; never as a miss.
   util::ImmutableBuffer LookupFull(const std::string& full_key);
 
   /// Admits `payload` under `full_key` and wires `probe_key` to it —

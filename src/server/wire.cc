@@ -466,19 +466,9 @@ JsonValue RelationStatsToJson(const core::RelationStats& stats) {
              CacheCountersToJson(inference.hits, inference.misses,
                                  inference.evictions, inference.entries));
   const core::ResultMemoStats& memo = stats.result_memo;
-  JsonValue memo_json = CacheCountersToJson(memo.hits, memo.misses,
-                                            memo.evictions, memo.entries);
-  // The memo's single-flight companions: executions led, requests that
-  // attached to an in-flight execution, early-detached followers.
-  memo_json.Set("coalesced_flights",
-                JsonValue::Number(
-                    static_cast<double>(memo.coalesced_flights)));
-  memo_json.Set("coalesced_hits",
-                JsonValue::Number(static_cast<double>(memo.coalesced_hits)));
-  memo_json.Set("coalesced_detached",
-                JsonValue::Number(
-                    static_cast<double>(memo.coalesced_detached)));
-  object.Set("result_memo", std::move(memo_json));
+  object.Set("result_memo",
+             CacheCountersToJson(memo.hits, memo.misses, memo.evictions,
+                                 memo.entries));
   const sql::ExecutorStats& executor = stats.executor;
   JsonValue exec = JsonValue::Object();
   auto set_counter = [&exec](const char* key, uint64_t v) {
@@ -517,11 +507,6 @@ core::RelationStats RelationStatsFromJson(const JsonValue& json) {
     stats.result_memo.misses = CounterFrom(*memo, "misses");
     stats.result_memo.evictions = CounterFrom(*memo, "evictions");
     stats.result_memo.entries = CounterFrom(*memo, "entries");
-    stats.result_memo.coalesced_flights =
-        CounterFrom(*memo, "coalesced_flights");
-    stats.result_memo.coalesced_hits = CounterFrom(*memo, "coalesced_hits");
-    stats.result_memo.coalesced_detached =
-        CounterFrom(*memo, "coalesced_detached");
   }
   if (const JsonValue* executor = json.Find("executor")) {
     stats.executor.rows_scanned = CounterFrom(*executor, "rows_scanned");

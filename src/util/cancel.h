@@ -15,8 +15,7 @@ namespace util {
 inline constexpr int64_t kNoDeadlineNs = std::numeric_limits<int64_t>::max();
 
 /// The steady clock as an int64 nanosecond count — the representation
-/// CancelToken and FlightToken share so deadlines compose with atomic
-/// max() arithmetic.
+/// CancelToken's deadline and the trace spans share.
 inline int64_t SteadyNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -27,10 +26,6 @@ inline int64_t SteadyNowNs() {
 /// constructs one per admitted request (optionally with an absolute
 /// deadline); the executor polls `Check()` once per shard/chunk in its hot
 /// loops and unwinds with kCancelled / kDeadlineExceeded when it fires.
-///
-/// `Check()` is virtual so the single-flight layer can substitute a
-/// FlightToken whose verdict is derived from a whole group of attached
-/// requests (see util/single_flight.h) without the executor loops knowing.
 ///
 /// Thread-safety: `Cancel()` and `Check()` may race freely (the flag is a
 /// single atomic). The deadline is immutable after construction, so readers
@@ -49,8 +44,6 @@ class CancelToken {
     }
   }
 
-  virtual ~CancelToken() = default;
-
   CancelToken(const CancelToken&) = delete;
   CancelToken& operator=(const CancelToken&) = delete;
 
@@ -60,7 +53,7 @@ class CancelToken {
   /// OK while the request should keep running. Explicit cancellation wins
   /// over deadline expiry so a disconnected client reports kCancelled even
   /// when its deadline has also lapsed.
-  virtual Status Check() const {
+  Status Check() const {
     if (cancelled_.load(std::memory_order_relaxed)) {
       return Status::Cancelled("request cancelled");
     }
@@ -69,14 +62,6 @@ class CancelToken {
     }
     return Status::OK();
   }
-
-  bool cancelled() const {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-
-  /// Absolute deadline in steady-clock nanoseconds; kNoDeadlineNs when the
-  /// token has none. Immutable after construction.
-  int64_t deadline_ns() const { return deadline_ns_; }
 
  private:
   std::atomic<bool> cancelled_{false};

@@ -4,9 +4,13 @@
 // cache, SQL normalization), and ThemisDb::QueryBatch.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <future>
+#include <latch>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bn/inference.h"
@@ -537,12 +541,13 @@ TEST_F(EngineTest, QueryBatchStressAcrossPoolSizes) {
   }
 }
 
-/// Single-flight coalescing at the evaluator: a duplicate burst executes
-/// the plan exactly once. The leader is parked deterministically by the
-/// uncached-execute hook, followers attach while it is parked (observable
-/// via coalesced_hits), and every answer — including a fresh post-clear
-/// execution — is bitwise identical.
-TEST_F(EngineTest, ConcurrentDuplicateGroupBysExecuteOnce) {
+/// Racing cold duplicates: every caller that misses the cold memo
+/// executes the plan itself and publishes the same deterministic answer.
+/// The hook parks the first execution until a second caller has missed
+/// too, so at least two executions race. Every answer is bitwise equal to
+/// a fresh execution, each caller counts once as a memo hit or miss, and
+/// the memo ends with one entry.
+TEST_F(EngineTest, ConcurrentColdDuplicatesPublishOneAnswer) {
   ThemisOptions options = FastOptions();
   options.num_threads = 2;
   ThemisDb db(options);
@@ -554,39 +559,35 @@ TEST_F(EngineTest, ConcurrentDuplicateGroupBysExecuteOnce) {
   const std::string sql =
       "SELECT o_st, COUNT(*) FROM flights GROUP BY o_st";
 
-  constexpr size_t kCallers = 4;
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
+  constexpr size_t kCallers = 8;
   std::atomic<size_t> uncached_executions{0};
-  auto first = std::make_shared<std::atomic<bool>>(true);
-  db.evaluator()->set_uncached_execute_hook([&, first] {
-    uncached_executions.fetch_add(1);
-    if (first->exchange(false)) released.wait();  // park only the leader
+  std::promise<void> second_missed;
+  std::shared_future<void> raced = second_missed.get_future().share();
+  db.evaluator()->set_uncached_execute_hook([&] {
+    const size_t entered = uncached_executions.fetch_add(1);
+    if (entered == 0) raced.wait();
+    if (entered == 1) second_missed.set_value();
   });
 
   std::vector<Result<sql::QueryResult>> answers(
       kCallers, Result<sql::QueryResult>(Status::Internal("unset")));
+  std::latch start(kCallers);
   std::vector<std::thread> callers;
   for (size_t i = 0; i < kCallers; ++i) {
-    callers.emplace_back(
-        [&db, &answers, &sql, i] { answers[i] = db.Query(sql); });
+    callers.emplace_back([&db, &answers, &sql, &start, i] {
+      start.arrive_and_wait();
+      answers[i] = db.Query(sql);
+    });
   }
-  // The leader is parked inside the hook; wait until every other caller
-  // has attached to its flight, then let it run.
-  while (db.evaluator()->result_memo_stats().coalesced_hits < kCallers - 1) {
-    std::this_thread::yield();
-  }
-  release.set_value();
   for (std::thread& t : callers) t.join();
   db.evaluator()->set_uncached_execute_hook(nullptr);
 
-  EXPECT_EQ(uncached_executions.load(), 1u);
   const ResultMemoStats stats = db.evaluator()->result_memo_stats();
-  EXPECT_EQ(stats.coalesced_flights, 1u);
-  EXPECT_EQ(stats.coalesced_hits, kCallers - 1);
-  EXPECT_EQ(stats.coalesced_detached, 0u);
+  EXPECT_EQ(stats.hits + stats.misses, kCallers);
+  EXPECT_EQ(stats.misses, uncached_executions.load());
+  EXPECT_GE(stats.misses, 2u);
+  EXPECT_EQ(stats.entries, 1u);
 
-  // Bitwise: all coalesced answers equal a fresh uncoalesced execution.
   db.evaluator()->ClearResultMemo();
   auto fresh = db.Query(sql);
   ASSERT_TRUE(fresh.ok());
@@ -597,109 +598,6 @@ TEST_F(EngineTest, ConcurrentDuplicateGroupBysExecuteOnce) {
       EXPECT_EQ(answer->rows[i].group, fresh->rows[i].group);
       EXPECT_EQ(answer->rows[i].values, fresh->rows[i].values);
     }
-  }
-}
-
-/// A follower whose own deadline lapses mid-flight detaches and answers
-/// kDeadlineExceeded itself; the leader's execution is untouched and
-/// still publishes an OK answer.
-TEST_F(EngineTest, FollowerDeadlineDetachesWithoutKillingTheFlight) {
-  ThemisOptions options = FastOptions();
-  options.num_threads = 2;
-  ThemisDb db(options);
-  ASSERT_TRUE(db.InsertSample("flights", sample_->Clone()).ok());
-  ASSERT_TRUE(
-      db.InsertAggregateFrom("flights", *population_, {"o_st", "d_st"})
-          .ok());
-  ASSERT_TRUE(db.Build().ok());
-  const std::string sql =
-      "SELECT o_st, COUNT(*) FROM flights GROUP BY o_st";
-
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  auto first = std::make_shared<std::atomic<bool>>(true);
-  db.evaluator()->set_uncached_execute_hook([released, first] {
-    if (first->exchange(false)) released.wait();
-  });
-
-  Result<sql::QueryResult> leader_answer(Status::Internal("unset"));
-  std::thread leader(
-      [&db, &leader_answer, &sql] { leader_answer = db.Query(sql); });
-  while (db.evaluator()->result_memo_stats().coalesced_flights < 1) {
-    std::this_thread::yield();
-  }
-
-  // Attach with a 1ms budget while the leader is parked: this call must
-  // come back DeadlineExceeded on its own, well before the leader runs.
-  util::CancelToken short_deadline(/*deadline_ms=*/1);
-  auto follower_answer =
-      db.evaluator()->Query(sql, AnswerMode::kHybrid, &short_deadline);
-  EXPECT_EQ(follower_answer.status().code(),
-            StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(db.evaluator()->result_memo_stats().coalesced_detached, 1u);
-
-  release.set_value();
-  leader.join();
-  db.evaluator()->set_uncached_execute_hook(nullptr);
-  ASSERT_TRUE(leader_answer.ok()) << leader_answer.status().ToString();
-}
-
-/// The leader's cancellation does not kill work a follower still wants:
-/// the collective flight token ignores the (fired) leader token while a
-/// follower is attached, the value is published to the follower, and the
-/// leader alone answers kCancelled.
-TEST_F(EngineTest, LeaderCancellationPromotesAnAttachedFollower) {
-  ThemisOptions options = FastOptions();
-  options.num_threads = 2;
-  ThemisDb db(options);
-  ASSERT_TRUE(db.InsertSample("flights", sample_->Clone()).ok());
-  ASSERT_TRUE(
-      db.InsertAggregateFrom("flights", *population_, {"o_st", "d_st"})
-          .ok());
-  ASSERT_TRUE(db.Build().ok());
-  const std::string sql =
-      "SELECT o_st, COUNT(*) FROM flights GROUP BY o_st";
-
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  auto first = std::make_shared<std::atomic<bool>>(true);
-  db.evaluator()->set_uncached_execute_hook([released, first] {
-    if (first->exchange(false)) released.wait();
-  });
-
-  util::CancelToken leader_token;
-  Result<sql::QueryResult> leader_answer(Status::Internal("unset"));
-  std::thread leader([&db, &leader_answer, &sql, &leader_token] {
-    leader_answer =
-        db.evaluator()->Query(sql, AnswerMode::kHybrid, &leader_token);
-  });
-  while (db.evaluator()->result_memo_stats().coalesced_flights < 1) {
-    std::this_thread::yield();
-  }
-
-  Result<sql::QueryResult> follower_answer(Status::Internal("unset"));
-  std::thread follower(
-      [&db, &follower_answer, &sql] { follower_answer = db.Query(sql); });
-  while (db.evaluator()->result_memo_stats().coalesced_hits < 1) {
-    std::this_thread::yield();
-  }
-
-  leader_token.Cancel();  // fires while a follower is attached
-  release.set_value();
-  leader.join();
-  follower.join();
-  db.evaluator()->set_uncached_execute_hook(nullptr);
-
-  ASSERT_TRUE(follower_answer.ok()) << follower_answer.status().ToString();
-  EXPECT_EQ(leader_answer.status().code(), StatusCode::kCancelled);
-
-  // The promoted execution's answer is the bitwise answer.
-  db.evaluator()->ClearResultMemo();
-  auto fresh = db.Query(sql);
-  ASSERT_TRUE(fresh.ok());
-  ASSERT_EQ(follower_answer->rows.size(), fresh->rows.size());
-  for (size_t i = 0; i < fresh->rows.size(); ++i) {
-    EXPECT_EQ(follower_answer->rows[i].values, fresh->rows[i].values);
   }
 }
 

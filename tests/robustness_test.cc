@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 
 #include "aggregate/aggregate_io.h"
 #include "core/themis_db.h"
@@ -237,6 +239,89 @@ TEST(ThemisDbTest, FileBasedWorkflow) {
   EXPECT_GT(result->rows.size(), 10u);
   std::remove(sample_path.c_str());
   std::remove(agg_path.c_str());
+}
+
+/// A four-row sample over two small attributes, for the input checks.
+data::Table TinySample() {
+  auto schema = std::make_shared<data::Schema>();
+  schema->AddAttribute("a", {"x", "y"});
+  schema->AddAttribute("b", {"0", "1"});
+  data::Table t(schema);
+  t.AppendRowLabels({"x", "0"});
+  t.AppendRowLabels({"x", "1"});
+  t.AppendRowLabels({"y", "0"});
+  t.AppendRowLabels({"y", "1"});
+  return t;
+}
+
+core::ThemisOptions TinyOptions() {
+  core::ThemisOptions options;
+  options.bn_group_by_samples = 2;
+  options.bn_sample_rows = 20;
+  return options;
+}
+
+/// A 1-D aggregate on attribute a: x -> 3 plus one caller-chosen group.
+aggregate::AggregateSpec OneDimAggregate(data::TupleKey key, double count) {
+  aggregate::AggregateSpec spec;
+  spec.attrs = {0};
+  spec.groups = {{{0}, 3.0}, {std::move(key), count}};
+  return spec;
+}
+
+TEST(AggregateInputTest, InsertAggregateRejectsBadCounts) {
+  core::ThemisDb db(TinyOptions());
+  ASSERT_TRUE(db.InsertSample("r", TinySample()).ok());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), kInf, -kInf, -5.0}) {
+    EXPECT_EQ(db.InsertAggregate("r", OneDimAggregate({1}, bad)).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  // Nothing was admitted: a valid aggregate still builds, and both the
+  // GROUP BY and the point query answer the published counts.
+  ASSERT_TRUE(db.InsertAggregate("r", OneDimAggregate({1}, 7.0)).ok());
+  ASSERT_TRUE(db.Build().ok());
+  auto groups = db.Query("SELECT a, COUNT(*) FROM r GROUP BY a");
+  ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+  ASSERT_EQ(groups->rows.size(), 2u);
+  for (const auto& row : groups->rows) {
+    EXPECT_TRUE(std::isfinite(row.values[0]));
+    EXPECT_GE(row.values[0], 0.0);
+  }
+  auto point = db.PointQuery("r", {{"a", "y"}});
+  ASSERT_TRUE(point.ok()) << point.status().ToString();
+  EXPECT_NEAR(*point, 7.0, 1e-9);
+}
+
+TEST(AggregateInputTest, InsertAggregateRejectsKeyLengthMismatch) {
+  core::ThemisDb db(TinyOptions());
+  ASSERT_TRUE(db.InsertSample("r", TinySample()).ok());
+  // An empty key on a 1-D aggregate, and a 2-value key on it.
+  EXPECT_EQ(db.InsertAggregate("r", OneDimAggregate({}, 2.0)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.InsertAggregate("r", OneDimAggregate({1, 0}, 2.0)).code(),
+            StatusCode::kInvalidArgument);
+  // The relation builds (no aggregate reached it) instead of aborting.
+  EXPECT_TRUE(db.Build().ok());
+}
+
+TEST(PopulationSizeTest, NegativeOrNonFiniteFailsBuild) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), kInf, -kInf, -10.0}) {
+    core::ThemisOptions options = TinyOptions();
+    options.population_size = bad;
+    core::ThemisDb db(options);
+    ASSERT_TRUE(db.InsertSample("r", TinySample()).ok());
+    ASSERT_TRUE(db.InsertAggregate("r", OneDimAggregate({1}, 7.0)).ok());
+    EXPECT_EQ(db.Build().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  // 0 still means "infer": the largest aggregate total, 3 + 7.
+  core::ThemisDb db(TinyOptions());
+  ASSERT_TRUE(db.InsertSample("r", TinySample()).ok());
+  ASSERT_TRUE(db.InsertAggregate("r", OneDimAggregate({1}, 7.0)).ok());
+  ASSERT_TRUE(db.Build().ok());
+  EXPECT_EQ(db.model()->population_size(), 10.0);
 }
 
 }  // namespace

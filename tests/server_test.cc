@@ -636,133 +636,6 @@ TEST_F(ServerTest, EachServedQueryPlansOnce) {
   server.Stop();
 }
 
-/// Single-flight over the wire: two sessions issue the same query while
-/// the first execution is parked mid-flight; the second attaches to the
-/// in-flight leader (coalesced_hits) instead of re-executing. Both
-/// sessions get bitwise identical OK answers, STATS counts BOTH logical
-/// requests in served_ok, and the relation's memo stats expose the
-/// coalescing.
-TEST_F(ServerTest, DuplicateQueriesAcrossSessionsCoalesce) {
-  auto db = MakeDb(FastOptions(4));
-  const core::HybridEvaluator* flights = db->catalog().evaluator("flights");
-  ASSERT_NE(flights, nullptr);
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  auto first = std::make_shared<std::atomic<bool>>(true);
-  flights->set_uncached_execute_hook([released, first] {
-    if (first->exchange(false)) released.wait();
-  });
-  QueryServer server(&db->catalog());
-  ASSERT_TRUE(server.Start().ok());
-
-  const std::string sql =
-      "SELECT o_st, d_st, COUNT(*) FROM flights GROUP BY o_st, d_st";
-  auto leader = Client::Connect(server.port());
-  ASSERT_TRUE(leader.ok());
-  ASSERT_TRUE(leader->Send("{\"sql\": \"" + sql + "\"}").ok());
-  // The hook fires after the flight is registered: once coalesced_flights
-  // ticks, the leader is parked and any duplicate must attach.
-  while (flights->result_memo_stats().coalesced_flights < 1) {
-    std::this_thread::yield();
-  }
-  auto follower = Client::Connect(server.port());
-  ASSERT_TRUE(follower.ok());
-  ASSERT_TRUE(follower->Send("{\"sql\": \"" + sql + "\"}").ok());
-  while (flights->result_memo_stats().coalesced_hits < 1) {
-    std::this_thread::yield();
-  }
-  release.set_value();
-
-  auto leader_response = leader->Receive();
-  ASSERT_TRUE(leader_response.ok()) << leader_response.status().ToString();
-  auto decoded_leader = DecodeResultResponse(*leader_response);
-  ASSERT_TRUE(decoded_leader.ok()) << *leader_response;
-  auto follower_response = follower->Receive();
-  ASSERT_TRUE(follower_response.ok()) << follower_response.status().ToString();
-  auto decoded_follower = DecodeResultResponse(*follower_response);
-  ASSERT_TRUE(decoded_follower.ok()) << *follower_response;
-  auto expected = db->Query(sql);
-  ASSERT_TRUE(expected.ok());
-  ExpectBitwiseEqual(*decoded_leader, *expected, "leader");
-  ExpectBitwiseEqual(*decoded_follower, *expected, "follower");
-
-  auto stats = leader->Stats();
-  ASSERT_TRUE(stats.ok());
-  // A coalesced follower is still one logical request in the serving
-  // counters — nothing about dedup hides work from STATS.
-  EXPECT_EQ(stats->server.served_ok, 2u);
-  EXPECT_EQ(stats->server.served_error, 0u);
-  const core::ResultMemoStats& memo =
-      stats->relations.at("flights").result_memo;
-  EXPECT_EQ(memo.coalesced_flights, 1u);
-  EXPECT_EQ(memo.coalesced_hits, 1u);
-  EXPECT_EQ(memo.coalesced_detached, 0u);
-  flights->set_uncached_execute_hook(nullptr);
-  server.Stop();
-}
-
-/// STATS accounting across a follower's deadline expiry: the follower
-/// detaches and answers kDeadlineExceeded (served_deadline_exceeded +
-/// served_error, per logical request) while the leader — released later
-/// — still answers OK (served_ok). The flight survives the expiry.
-TEST_F(ServerTest, CoalescedFollowerDeadlineCountsPerLogicalRequest) {
-  auto db = MakeDb(FastOptions(4));
-  const core::HybridEvaluator* flights = db->catalog().evaluator("flights");
-  ASSERT_NE(flights, nullptr);
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  auto first = std::make_shared<std::atomic<bool>>(true);
-  flights->set_uncached_execute_hook([released, first] {
-    if (first->exchange(false)) released.wait();
-  });
-  QueryServer server(&db->catalog());
-  ASSERT_TRUE(server.Start().ok());
-
-  const std::string sql =
-      "SELECT o_st, d_st, COUNT(*) FROM flights GROUP BY o_st, d_st";
-  auto leader = Client::Connect(server.port());
-  ASSERT_TRUE(leader.ok());
-  ASSERT_TRUE(leader->Send("{\"sql\": \"" + sql + "\"}").ok());
-  while (flights->result_memo_stats().coalesced_flights < 1) {
-    std::this_thread::yield();
-  }
-  // A generous-but-finite budget: long enough to attach over localhost,
-  // short enough that it lapses while the leader stays parked.
-  auto follower = Client::Connect(server.port());
-  ASSERT_TRUE(follower.ok());
-  ASSERT_TRUE(
-      follower->Send("{\"sql\": \"" + sql + "\", \"deadline_ms\": 40}").ok());
-  auto follower_response = follower->Receive();
-  ASSERT_TRUE(follower_response.ok())
-      << follower_response.status().ToString();
-  auto decoded_follower = DecodeResultResponse(*follower_response);
-  EXPECT_EQ(decoded_follower.status().code(), StatusCode::kDeadlineExceeded)
-      << *follower_response;
-  {
-    const core::ResultMemoStats memo = flights->result_memo_stats();
-    EXPECT_EQ(memo.coalesced_hits, 1u);
-    EXPECT_EQ(memo.coalesced_detached, 1u);
-  }
-  release.set_value();
-
-  auto leader_response = leader->Receive();
-  ASSERT_TRUE(leader_response.ok()) << leader_response.status().ToString();
-  auto decoded_leader = DecodeResultResponse(*leader_response);
-  ASSERT_TRUE(decoded_leader.ok()) << *leader_response;
-  auto expected = db->Query(sql);
-  ASSERT_TRUE(expected.ok());
-  ExpectBitwiseEqual(*decoded_leader, *expected, "leader");
-
-  auto stats = leader->Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->server.served_ok, 1u);
-  EXPECT_EQ(stats->server.served_deadline_exceeded, 1u);
-  EXPECT_EQ(stats->server.served_error, 1u);
-  EXPECT_EQ(stats->server.served_cancelled, 0u);
-  flights->set_uncached_execute_hook(nullptr);
-  server.Stop();
-}
-
 /// Pulls "name value" (no labels) out of a Prometheus exposition; -1
 /// when absent.
 double MetricValue(const std::string& text, const std::string& name) {
@@ -889,22 +762,14 @@ TEST_F(ServerTest, TracingOnOffAnswersBitwiseIdentical) {
   }
 }
 
-/// The deterministic trace test from the issue: with one I/O thread and
-/// every request traced, a parked leader and an attached follower must
-/// leave distinguishable traces — the leader records execution, the
-/// follower records a single-flight wait and NO execution — and the
-/// leader's spans must be well-ordered (parse -> admission -> queue wait
-/// -> plan lookup -> execute -> serialize).
-TEST_F(ServerTest, CoalescedFollowerTraceRecordsWaitAndNoExecution) {
+/// Deterministic trace shape: with one I/O thread and every request
+/// traced, a cold query records its execution with well-ordered spans
+/// (parse -> admission -> queue wait -> plan lookup -> execute ->
+/// serialize), while a respelling of it — a different text, so it misses
+/// the byte-cache probe, but the same plan — is answered by the result
+/// memo and records no execution at all.
+TEST_F(ServerTest, TracedMemoHitRecordsNoExecution) {
   auto db = MakeDb(FastOptions(4));
-  const core::HybridEvaluator* flights = db->catalog().evaluator("flights");
-  ASSERT_NE(flights, nullptr);
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  auto first = std::make_shared<std::atomic<bool>>(true);
-  flights->set_uncached_execute_hook([released, first] {
-    if (first->exchange(false)) released.wait();
-  });
   QueryServer::Options options;
   options.io_threads = 1;
   options.trace_sample_n = 1;
@@ -913,23 +778,14 @@ TEST_F(ServerTest, CoalescedFollowerTraceRecordsWaitAndNoExecution) {
 
   const std::string sql =
       "SELECT o_st, d_st, COUNT(*) FROM flights GROUP BY o_st, d_st";
-  auto leader = Client::Connect(server.port());
-  ASSERT_TRUE(leader.ok());
-  ASSERT_TRUE(leader->Send("{\"sql\": \"" + sql + "\"}").ok());
-  while (flights->result_memo_stats().coalesced_flights < 1) {
-    std::this_thread::yield();
-  }
-  auto follower = Client::Connect(server.port());
-  ASSERT_TRUE(follower.ok());
-  ASSERT_TRUE(follower->Send("{\"sql\": \"" + sql + "\"}").ok());
-  while (flights->result_memo_stats().coalesced_hits < 1) {
-    std::this_thread::yield();
-  }
-  release.set_value();
-  ASSERT_TRUE(leader->Receive().ok());
-  ASSERT_TRUE(follower->Receive().ok());
+  const std::string respelled =
+      "SELECT  o_st, d_st, COUNT(*)  FROM flights  GROUP BY o_st, d_st";
+  auto client = Client::Connect(server.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Query(sql).ok());
+  ASSERT_TRUE(client->Query(respelled).ok());
 
-  auto stats = leader->Stats();
+  auto stats = client->Stats();
   ASSERT_TRUE(stats.ok());
   ASSERT_EQ(stats->slow_queries.size(), 2u);
 
@@ -937,44 +793,35 @@ TEST_F(ServerTest, CoalescedFollowerTraceRecordsWaitAndNoExecution) {
       -> const obs::StageSpan& {
     return entry.stages[static_cast<size_t>(s)];
   };
-  // Classify the two entries by their execution span: exactly one of the
-  // two logical requests actually executed the plan.
-  const obs::SlowQueryEntry* leader_entry = nullptr;
-  const obs::SlowQueryEntry* follower_entry = nullptr;
+  const obs::SlowQueryEntry* executed_entry = nullptr;
+  const obs::SlowQueryEntry* memo_entry = nullptr;
   for (const obs::SlowQueryEntry& entry : stats->slow_queries) {
-    EXPECT_EQ(entry.sql, sql);
     EXPECT_EQ(entry.status, "OK");
-    if (stage(entry, obs::Stage::kExecute).count > 0) {
-      leader_entry = &entry;
-    } else {
-      follower_entry = &entry;
-    }
+    if (entry.sql == sql) executed_entry = &entry;
+    if (entry.sql == respelled) memo_entry = &entry;
   }
-  ASSERT_NE(leader_entry, nullptr);
-  ASSERT_NE(follower_entry, nullptr);
+  ASSERT_NE(executed_entry, nullptr);
+  ASSERT_NE(memo_entry, nullptr);
 
-  // The follower: parked in the single-flight wait, zero execution.
-  EXPECT_EQ(stage(*follower_entry, obs::Stage::kExecute).count, 0u);
-  EXPECT_EQ(stage(*follower_entry, obs::Stage::kExecutorScan).count, 0u);
-  EXPECT_GE(stage(*follower_entry, obs::Stage::kSingleFlightWait).count, 1u);
-  EXPECT_GT(stage(*follower_entry, obs::Stage::kSingleFlightWait).total_ns,
-            0);
-  // The leader: executed, never waited on anyone.
-  EXPECT_EQ(stage(*leader_entry, obs::Stage::kSingleFlightWait).count, 0u);
-  EXPECT_GT(stage(*leader_entry, obs::Stage::kExecute).total_ns, 0);
-  EXPECT_GE(stage(*leader_entry, obs::Stage::kExecutorScan).count, 1u);
-  EXPECT_EQ(leader_entry->relation, "flights");
-  EXPECT_FALSE(leader_entry->fingerprint.empty());
+  // The memo hit: zero execution, same plan.
+  EXPECT_EQ(stage(*memo_entry, obs::Stage::kExecute).count, 0u);
+  EXPECT_EQ(stage(*memo_entry, obs::Stage::kExecutorScan).count, 0u);
+  EXPECT_EQ(memo_entry->fingerprint, executed_entry->fingerprint);
+  // The cold query: executed and scanned.
+  EXPECT_GT(stage(*executed_entry, obs::Stage::kExecute).total_ns, 0);
+  EXPECT_GE(stage(*executed_entry, obs::Stage::kExecutorScan).count, 1u);
+  EXPECT_EQ(executed_entry->relation, "flights");
+  EXPECT_FALSE(executed_entry->fingerprint.empty());
 
-  // Span ordering on the leader's trace, via the relative begin/end
+  // Span ordering on the cold query's trace, via the relative begin/end
   // stamps: each stage begins no earlier than its predecessor's begin,
   // and execution finishes before serialization begins.
-  const auto& parse = stage(*leader_entry, obs::Stage::kParse);
-  const auto& admission = stage(*leader_entry, obs::Stage::kAdmission);
-  const auto& queue = stage(*leader_entry, obs::Stage::kQueueWait);
-  const auto& plan = stage(*leader_entry, obs::Stage::kPlanLookup);
-  const auto& execute = stage(*leader_entry, obs::Stage::kExecute);
-  const auto& serialize = stage(*leader_entry, obs::Stage::kSerialize);
+  const auto& parse = stage(*executed_entry, obs::Stage::kParse);
+  const auto& admission = stage(*executed_entry, obs::Stage::kAdmission);
+  const auto& queue = stage(*executed_entry, obs::Stage::kQueueWait);
+  const auto& plan = stage(*executed_entry, obs::Stage::kPlanLookup);
+  const auto& execute = stage(*executed_entry, obs::Stage::kExecute);
+  const auto& serialize = stage(*executed_entry, obs::Stage::kSerialize);
   ASSERT_EQ(parse.count, 1u);
   ASSERT_EQ(admission.count, 1u);
   ASSERT_EQ(queue.count, 1u);
@@ -986,9 +833,8 @@ TEST_F(ServerTest, CoalescedFollowerTraceRecordsWaitAndNoExecution) {
   EXPECT_GE(plan.first_begin_rel_ns, queue.last_end_rel_ns);
   EXPECT_GE(execute.first_begin_rel_ns, plan.first_begin_rel_ns);
   EXPECT_GE(serialize.first_begin_rel_ns, execute.last_end_rel_ns);
-  EXPECT_GE(leader_entry->total_ns, execute.total_ns);
+  EXPECT_GE(executed_entry->total_ns, execute.total_ns);
 
-  flights->set_uncached_execute_hook(nullptr);
   server.Stop();
 }
 

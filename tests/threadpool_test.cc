@@ -1,25 +1,18 @@
 // Tests for the shared execution runtime: util::ThreadPool (FIFO
 // ordering, exception propagation through futures, nested submission and
 // nested ParallelFor without deadlock), DefaultParallelism/
-// ResolveParallelism, the cost-aware LruCache admission policy, and the
-// util::SingleFlight duplicate-suppression map (leader/follower value
-// sharing, follower-deadline detach, leader-cancel promotion).
+// ResolveParallelism, and the cost-aware LruCache admission policy.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <future>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "util/cancel.h"
 #include "util/lru_cache.h"
-#include "util/single_flight.h"
-#include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace themis::util {
@@ -183,216 +176,6 @@ TEST(LruCacheCostTest, UnitCostsKeepEntryCountSemantics) {
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.total_cost(), 2u);
   EXPECT_FALSE(cache.Get(1).has_value());
-}
-
-TEST(SingleFlightTest, LeaderExecutesOnceAndFollowersShareTheValue) {
-  SingleFlight<Result<int>> flights;
-  std::promise<void> leader_entered;
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  std::atomic<int> executions{0};
-
-  std::vector<Result<int>> answers(3, Result<int>(Status::Internal("unset")));
-  std::thread leader([&] {
-    answers[0] = flights.Run("key", nullptr, [&](const util::CancelToken*) {
-      executions.fetch_add(1);
-      leader_entered.set_value();
-      released.wait();
-      return Result<int>(42);
-    });
-  });
-  leader_entered.get_future().wait();  // the flight is in the map
-
-  std::vector<std::thread> follower_threads;
-  for (size_t i = 1; i <= 2; ++i) {
-    follower_threads.emplace_back([&flights, &answers, i] {
-      // Executing here would be the bug this layer exists to prevent.
-      answers[i] = flights.Run("key", nullptr, [](const util::CancelToken*) {
-        ADD_FAILURE() << "duplicate key re-executed";
-        return Result<int>(-1);
-      });
-    });
-  }
-  while (flights.stats().followers < 2) std::this_thread::yield();
-  release.set_value();
-  leader.join();
-  for (std::thread& t : follower_threads) t.join();
-
-  EXPECT_EQ(executions.load(), 1);
-  for (const auto& answer : answers) {
-    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-    EXPECT_EQ(*answer, 42);
-  }
-  const SingleFlightStats stats = flights.stats();
-  EXPECT_EQ(stats.flights, 1u);
-  EXPECT_EQ(stats.followers, 2u);
-  EXPECT_EQ(stats.detached, 0u);
-}
-
-TEST(SingleFlightTest, ReentrantDuplicateOnALeadingThreadExecutesDirectly) {
-  // The ThreadPool runs queued tasks while waiting (GetHelping /
-  // ParallelFor), so a leader mid-execution can pick up a queued
-  // duplicate of its own in-flight key. Following would deadlock — the
-  // flight completes only when this very thread returns — so the nested
-  // call must execute directly. Without the re-entrancy guard this test
-  // hangs instead of failing.
-  SingleFlight<Result<int>> flights;
-  auto result = flights.Run("key", nullptr, [&](const util::CancelToken*) {
-    auto nested =
-        flights.Run("key", nullptr,
-                    [](const util::CancelToken*) { return Result<int>(5); });
-    EXPECT_TRUE(nested.ok());
-    return Result<int>(*nested + 1);
-  });
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(*result, 6);
-  // The nested execution bypassed the map: one flight, no followers.
-  EXPECT_EQ(flights.stats().flights, 1u);
-  EXPECT_EQ(flights.stats().followers, 0u);
-}
-
-TEST(SingleFlightTest, AThrowingLeaderStillResolvesItsFollowers) {
-  SingleFlight<Result<int>> flights;
-  std::promise<void> leader_entered;
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-
-  Result<int> leader_answer(Status::Internal("unset"));
-  std::thread leader([&] {
-    leader_answer =
-        flights.Run("key", nullptr,
-                    [&](const util::CancelToken*) -> Result<int> {
-                      leader_entered.set_value();
-                      released.wait();
-                      throw std::runtime_error("executor blew up");
-                    });
-  });
-  leader_entered.get_future().wait();
-
-  Result<int> follower_answer(Status::Internal("unset"));
-  std::thread follower([&] {
-    follower_answer = flights.Run(
-        "key", nullptr,
-        [](const util::CancelToken*) { return Result<int>(-1); });
-  });
-  while (flights.stats().followers < 1) std::this_thread::yield();
-  release.set_value();
-  leader.join();
-  follower.join();
-
-  // Both get the wrapped failure; neither hangs on a poisoned key.
-  EXPECT_EQ(leader_answer.status().code(), StatusCode::kInternal);
-  EXPECT_EQ(follower_answer.status().code(), StatusCode::kInternal);
-  // And the key is usable again afterwards.
-  auto retry = flights.Run(
-      "key", nullptr, [](const util::CancelToken*) { return Result<int>(3); });
-  ASSERT_TRUE(retry.ok());
-  EXPECT_EQ(*retry, 3);
-}
-
-TEST(SingleFlightTest, SequentialRunsDoNotCoalesce) {
-  // Coalescing is a property of *concurrent* presentation; sequential
-  // duplicates belong to the memo layer above.
-  SingleFlight<Result<int>> flights;
-  auto once = [](const util::CancelToken*) { return Result<int>(7); };
-  EXPECT_EQ(*flights.Run("key", nullptr, once), 7);
-  EXPECT_EQ(*flights.Run("key", nullptr, once), 7);
-  EXPECT_EQ(flights.stats().flights, 2u);
-  EXPECT_EQ(flights.stats().followers, 0u);
-}
-
-TEST(SingleFlightTest, SoloFlightDelegatesToTheLeadersToken) {
-  SingleFlight<Result<int>> flights;
-  util::CancelToken own;
-  own.Cancel();
-  // With no followers the flight token must answer exactly as the
-  // leader's own token would — a lone request is untouched by coalescing.
-  auto result = flights.Run("key", &own, [](const util::CancelToken* token) {
-    return Result<int>(token->Check());
-  });
-  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
-}
-
-TEST(SingleFlightTest, FollowerDeadlineDetachesWithoutCancellingTheLeader) {
-  SingleFlight<Result<int>> flights;
-  std::promise<void> leader_entered;
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-
-  Result<int> leader_answer(Status::Internal("unset"));
-  std::thread leader([&] {
-    leader_answer =
-        flights.Run("key", nullptr, [&](const util::CancelToken* token) {
-          leader_entered.set_value();
-          released.wait();
-          // The follower detached long ago; governance is back with the
-          // (token-less) leader, so the flight is still live.
-          return Result<int>(token->Check().ok() ? 7 : -1);
-        });
-  });
-  leader_entered.get_future().wait();
-
-  // A follower whose own 1ms budget lapses while the leader is parked
-  // must answer DeadlineExceeded itself — and must NOT kill the flight.
-  util::CancelToken short_deadline(/*deadline_ms=*/1);
-  auto follower_answer =
-      flights.Run("key", &short_deadline, [](const util::CancelToken*) {
-        ADD_FAILURE() << "duplicate key re-executed";
-        return Result<int>(-1);
-      });
-  EXPECT_EQ(follower_answer.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(flights.stats().detached, 1u);
-
-  release.set_value();
-  leader.join();
-  ASSERT_TRUE(leader_answer.ok()) << leader_answer.status().ToString();
-  EXPECT_EQ(*leader_answer, 7);
-}
-
-TEST(SingleFlightTest, LeaderCancellationPromotesAnAttachedFollower) {
-  SingleFlight<Result<int>> flights;
-  std::promise<void> leader_entered;
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  util::CancelToken leader_token;
-
-  Result<int> leader_answer(Status::Internal("unset"));
-  std::atomic<bool> flight_survived{false};
-  std::thread leader([&] {
-    leader_answer =
-        flights.Run("key", &leader_token, [&](const util::CancelToken* token) {
-          leader_entered.set_value();
-          released.wait();
-          // The leader's token has fired, but a follower is attached: the
-          // collective token must keep the execution alive for it.
-          flight_survived.store(token->Check().ok());
-          return Result<int>(9);
-        });
-  });
-  leader_entered.get_future().wait();
-
-  Result<int> follower_answer(Status::Internal("unset"));
-  std::thread follower([&] {
-    follower_answer =
-        flights.Run("key", nullptr, [](const util::CancelToken*) {
-          ADD_FAILURE() << "duplicate key re-executed";
-          return Result<int>(-1);
-        });
-  });
-  while (flights.stats().followers < 1) std::this_thread::yield();
-
-  leader_token.Cancel();
-  release.set_value();
-  leader.join();
-  follower.join();
-
-  EXPECT_TRUE(flight_survived.load());
-  // The follower got the published value; the leader answers its own
-  // cancellation even though the work completed.
-  ASSERT_TRUE(follower_answer.ok()) << follower_answer.status().ToString();
-  EXPECT_EQ(*follower_answer, 9);
-  EXPECT_EQ(leader_answer.status().code(), StatusCode::kCancelled);
-  EXPECT_EQ(flights.stats().detached, 0u);
 }
 
 }  // namespace
