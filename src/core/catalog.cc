@@ -92,12 +92,23 @@ Status Catalog::InsertAggregate(const std::string& name,
     }
   }
   // The same contract the aggregate CSV reader enforces: one value per
-  // attribute, and a finite, non-negative count.
+  // attribute, each null or a code of the attribute's domain, and a
+  // finite, non-negative count.
+  const data::Schema& schema = *relation.pending_sample->schema();
   for (const auto& [key, count] : aggregate.groups) {
     if (key.size() != aggregate.attrs.size()) {
       return Status::InvalidArgument(
           "aggregate group key length differs from its attributes for '" +
           name + "'");
+    }
+    for (size_t i = 0; i < key.size(); ++i) {
+      const size_t domain_size = schema.domain(aggregate.attrs[i]).size();
+      if (key[i] < data::kNullCode ||
+          (key[i] >= 0 && static_cast<size_t>(key[i]) >= domain_size)) {
+        return Status::InvalidArgument(
+            "aggregate group code outside its attribute's domain for '" +
+            name + "'");
+      }
     }
     if (!std::isfinite(count) || count < 0) {
       return Status::InvalidArgument(

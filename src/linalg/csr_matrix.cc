@@ -42,6 +42,15 @@ BinaryCsrMatrix::BinaryCsrMatrix(size_t cols, std::vector<size_t> row_ptr,
                             [&](uint32_t c) { return c < cols_; }));
 }
 
+void BinaryCsrMatrix::RelabelColumns(std::span<const uint32_t> column_of,
+                                     size_t cols) {
+  THEMIS_CHECK(column_of.size() == cols_);
+  for (uint32_t& c : col_idx_) c = column_of[c];
+  cols_ = cols;
+  THEMIS_DCHECK(std::all_of(col_idx_.begin(), col_idx_.end(),
+                            [&](uint32_t c) { return c < cols_; }));
+}
+
 Vector BinaryCsrMatrix::MatVec(const Vector& x) const {
   THEMIS_CHECK(x.size() == cols_);
   Vector y(rows(), 0.0);

@@ -37,6 +37,11 @@ class BinaryCsrMatrix {
     return {col_idx_.data() + row_ptr_[r], row_ptr_[r + 1] - row_ptr_[r]};
   }
 
+  /// Replaces every stored column index c with column_of[c], in place,
+  /// and the column count with `cols`; each row keeps its stored order.
+  /// Every column_of[c] must be < cols.
+  void RelabelColumns(std::span<const uint32_t> column_of, size_t cols);
+
   /// y = G x (size rows()).
   Vector MatVec(const Vector& x) const;
 

@@ -9,11 +9,67 @@
 
 namespace themis::reweight {
 
+namespace {
+
+/// Tuples that every pass puts in the same group (or all in none).
+struct Cells {
+  std::vector<uint32_t> cell_of;  ///< tuple t's cell
+  size_t count = 0;
+};
+
+/// Splits the sample's tuples into cells. Weights start at 1.0 and a pass
+/// multiplies each weight by its group's factor, so the tuples of a cell
+/// hold the same bits throughout. Replaces every pass's group_of with one
+/// mapping cells, not tuples, to groups.
+Cells SplitIntoCells(IncidenceSystem& sys) {
+  const size_t n = sys.g.cols();
+  Cells cells{std::vector<uint32_t>(n, 0), 1};
+  std::vector<uint32_t>& cell_of = cells.cell_of;
+  // Each pass splits every cell by group: the tuples of one group are
+  // visited together (G's row, then the tuples in no group), and the
+  // first tuple of cell c seen in group j opens the new cell split[c].
+  std::vector<uint32_t> seen_in, split;
+  for (const IncidencePass& pass : sys.passes) {
+    const auto none = static_cast<uint32_t>(pass.num_groups);
+    seen_in.assign(cells.count, UINT32_MAX);
+    split.resize(cells.count);
+    uint32_t next = 0;
+    const auto refine = [&](uint32_t t, uint32_t j) {
+      const uint32_t c = cell_of[t];
+      if (seen_in[c] != j) {
+        seen_in[c] = j;
+        split[c] = next++;
+      }
+      cell_of[t] = split[c];
+    };
+    for (uint32_t j = 0; j < none; ++j) {
+      for (uint32_t t : sys.g.Row(pass.first_row + j)) refine(t, j);
+    }
+    for (uint32_t t = 0; t < n; ++t) {
+      if (pass.group_of[t] == none) refine(t, none);
+    }
+    cells.count = next;
+  }
+  std::vector<uint32_t> member(cells.count);  // one tuple of each cell
+  for (uint32_t t = 0; t < n; ++t) member[cell_of[t]] = t;
+  for (IncidencePass& pass : sys.passes) {
+    std::vector<uint32_t> group_of(cells.count);
+    for (size_t c = 0; c < cells.count; ++c) {
+      group_of[c] = pass.group_of[member[c]];
+    }
+    pass.group_of = std::move(group_of);
+  }
+  return cells;
+}
+
+}  // namespace
+
 Status IpfReweighter::Reweight(data::Table& sample,
                                const aggregate::AggregateSet& aggregates,
                                double population_size) {
   stats_ = IpfStats{};
-  if (sample.num_rows() == 0) {
+  const size_t n = sample.num_rows();
+  if (n == 0) {
     return Status::InvalidArgument("IPF: empty sample");
   }
   sample.FillWeights(1.0);
@@ -24,8 +80,14 @@ Status IpfReweighter::Reweight(data::Table& sample,
 
   THEMIS_ASSIGN_OR_RETURN(IncidenceSystem sys,
                           BuildIncidence(sample, aggregates));
+  // The sweeps run on one weight per cell: G's columns become cells, each
+  // row still listing its tuples' cells in ascending tuple order, so every
+  // sum adds the same values in the same order as over the tuples.
+  const Cells cells = SplitIntoCells(sys);
+  stats_.cells = cells.count;
+  sys.g.RelabelColumns(cells.cell_of, cells.count);
   const linalg::BinaryCsrMatrix& g = sys.g;
-  std::vector<double>& w = sample.mutable_weights();
+  std::vector<double> w(cells.count, 1.0);
 
   // Each pass's non-empty rows, longest first, so RowDots starts the
   // longest add chain at once and runs the others beside it. The passes
@@ -105,6 +167,8 @@ Status IpfReweighter::Reweight(data::Table& sample,
     }
     if (last) stats_.max_violation = worst;
   }
+  std::vector<double>& weights = sample.mutable_weights();
+  for (size_t t = 0; t < n; ++t) weights[t] = w[cells.cell_of[t]];
   return Status::OK();
 }
 

@@ -24,6 +24,9 @@ struct IpfStats {
   /// meet them (the missing tuples of Example 4.2), and IPF skips them.
   size_t empty_constraints = 0;
   double empty_mass = 0;  ///< the sum of those groups' targets
+  /// Classes of tuples that every pass puts in the same group; the sweeps
+  /// keep one weight per class.
+  size_t cells = 0;
 };
 
 /// Iterative Proportional Fitting (Sec 4.1.2, Alg 1): treats every tuple
@@ -33,13 +36,17 @@ struct IpfStats {
 /// Example 4.2, in which case the approximate weights are still returned).
 ///
 /// The weights and stats equal those of Alg 1's group-at-a-time loop bit
-/// for bit. Each sweep walks the incidence system's passes (IncidencePass):
-/// the groups of a pass have disjoint tuples, so one pass sums every
-/// group with interleaved add chains (BinaryCsrMatrix::RowDots), then
-/// scales the weights in tuple order by their group's factor, 1.0 for a
-/// skipped group. The convergence test stops at the first pass holding a
-/// constraint over tolerance; only a sweep that converges, or the last
-/// one, computes the full max_violation.
+/// for bit. Tuples that share a group in every pass share a *cell*: they
+/// start at 1.0 and are scaled by the same factors, so they hold the same
+/// weight throughout, and the sweeps keep one weight per cell. Each group
+/// still sums its tuples' cell weights one by one in ascending tuple order,
+/// as Alg 1 sums its tuples. Each sweep walks the incidence system's passes
+/// (IncidencePass): the groups of a pass have disjoint tuples, so one pass
+/// sums every group with interleaved add chains
+/// (BinaryCsrMatrix::RowDots), then scales the cell weights by their
+/// group's factor, 1.0 for a skipped group. The convergence test stops at
+/// the first pass holding a constraint over tolerance; only a sweep that
+/// converges, or the last one, computes the full max_violation.
 class IpfReweighter : public Reweighter {
  public:
   explicit IpfReweighter(IpfOptions options = {}) : options_(options) {}

@@ -74,15 +74,20 @@ Result<ConstrainedMleSolution> SolveConstrainedMle(
     return std::abs(got - c.target) / std::max(1.0, std::abs(c.target));
   };
 
-  auto max_violation = [&]() {
+  // The largest violation over constraints and simplexes. Unless `full`,
+  // it stops at the first one over tolerance: that iteration has not
+  // converged, and a later one overwrites max_violation.
+  auto max_violation = [&](bool full) {
     double worst = 0;
     for (const auto& c : problem.constraints) {
       worst = std::max(worst, constraint_violation(c));
+      if (!full && worst > options.tolerance) return worst;
     }
     for (const auto& g : problem.groups) {
       double s = 0;
       for (size_t v : g.vars) s += sol.theta[v];
       worst = std::max(worst, std::abs(s - 1.0));
+      if (!full && worst > options.tolerance) return worst;
     }
     return worst;
   };
@@ -124,7 +129,7 @@ Result<ConstrainedMleSolution> SolveConstrainedMle(
       }
     }
     sol.iterations = iter + 1;
-    sol.max_violation = max_violation();
+    sol.max_violation = max_violation(iter + 1 == options.max_iterations);
     if (sol.max_violation <= options.tolerance) {
       sol.converged = true;
       break;

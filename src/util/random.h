@@ -1,6 +1,9 @@
 #ifndef THEMIS_UTIL_RANDOM_H_
 #define THEMIS_UTIL_RANDOM_H_
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -8,6 +11,43 @@
 #include "util/logging.h"
 
 namespace themis {
+
+/// MT19937-64: the exact output sequence of std::mt19937_64 (the standard
+/// fixes it, e.g. its 10000th output for the default seed), with a twist
+/// that selects the matrix term by mask instead of branching on a random
+/// bit, and a discard that skips whole blocks without tempering them.
+/// Satisfies UniformRandomBitGenerator, so standard distributions and
+/// algorithms draw from it exactly as from std::mt19937_64.
+class Mt19937_64 {
+ public:
+  using result_type = uint64_t;
+  static constexpr size_t kStateSize = 312;
+  static constexpr result_type default_seed = 5489u;
+
+  explicit Mt19937_64(result_type seed = default_seed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (next_ == kStateSize) Twist();
+    uint64_t z = state_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71d67fffeda60000ull;
+    z ^= (z << 37) & 0xfff7eee000000000ull;
+    return z ^ (z >> 43);
+  }
+
+  /// Advances the engine by z outputs.
+  void discard(unsigned long long z);
+
+ private:
+  /// Regenerates all kStateSize words and restarts the output index.
+  void Twist();
+
+  std::array<uint64_t, kStateSize> state_;
+  size_t next_ = kStateSize;  ///< the next word to temper; kStateSize: twist
+};
 
 /// Deterministic random source used across the library. All experiment
 /// harnesses take an explicit seed so results are reproducible run-to-run.
@@ -21,9 +61,26 @@ class Rng {
     return std::uniform_int_distribution<int64_t>(lo, hi)(engine_);
   }
 
-  /// Uniform double in [0, 1).
-  double UniformDouble() {
-    return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
+  /// Uniform double in [0, 1), bitwise what
+  /// std::uniform_real_distribution<double>(0, 1) draws from the same
+  /// engine: one output converted by ToUnitDouble.
+  double UniformDouble() { return ToUnitDouble(engine_()); }
+
+  /// libstdc++'s generate_canonical<double, 53> of one 64-bit word: x
+  /// rounded to nearest double, times 2^-64, clamped below 1. The
+  /// conversion computes both of the compiler's u64 -> double paths (a
+  /// signed convert; or halve with the low bit kept sticky, convert,
+  /// double) and selects one by mask, so no branch on the random top bit.
+  static double ToUnitDouble(uint64_t x) {
+    const auto low = std::bit_cast<uint64_t>(
+        static_cast<double>(static_cast<int64_t>(x)));
+    const auto high = std::bit_cast<uint64_t>(
+        static_cast<double>(static_cast<int64_t>((x >> 1) | (x & 1))) * 2.0);
+    const uint64_t top = 0 - (x >> 63);
+    const double r = std::bit_cast<double>((low & ~top) | (high & top));
+    // Scaling by 2^-64 is exact; 0x1.fffffffffffffp-1 is the largest
+    // double below 1.
+    return std::min(r * 0x1p-64, 0x1.fffffffffffffp-1);
   }
 
   /// Uniform double in [lo, hi).
@@ -52,10 +109,10 @@ class Rng {
   /// positive sum.
   size_t Categorical(const std::vector<double>& weights);
 
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 /// Precomputed alias-free categorical sampler (cumulative distribution +

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -436,6 +437,91 @@ TEST(IpfDifferentialTest, BiasedFlightsSampleMatchesTheOracle) {
   IpfOptions options;
   options.max_iterations = 25;
   ExpectMatchesOracle(*sample, aggregates, options);
+}
+
+/// A schema of `sizes.size()` attributes a0, a1, ... with sizes[i] values.
+data::SchemaPtr CellSchema(const std::vector<int>& sizes) {
+  auto schema = std::make_shared<data::Schema>();
+  for (size_t a = 0; a < sizes.size(); ++a) {
+    std::vector<std::string> labels;
+    for (int v = 0; v < sizes[a]; ++v) labels.push_back("v" + std::to_string(v));
+    schema->AddAttribute("a" + std::to_string(a), labels);
+  }
+  return schema;
+}
+
+aggregate::AggregateSpec Spec(
+    std::vector<size_t> attrs,
+    std::vector<std::pair<data::TupleKey, double>> groups) {
+  aggregate::AggregateSpec spec;
+  spec.attrs = std::move(attrs);
+  spec.groups = std::move(groups);
+  return spec;
+}
+
+TEST(IpfCellTest, EveryTupleInItsOwnCell) {
+  // a0 and a1 are both tuple ids, so each aggregate puts each tuple in its
+  // own group and every cell holds one tuple; the second pass splits no
+  // cell further.
+  constexpr int kTuples = 300;
+  data::SchemaPtr schema = CellSchema({kTuples, kTuples});
+  data::Table sample(schema);
+  for (int t = 0; t < kTuples; ++t) sample.AppendRow({t, (7 * t) % kTuples});
+  aggregate::AggregateSet aggregates(schema);
+  std::vector<std::pair<data::TupleKey, double>> ids, shuffled_ids;
+  for (int t = 0; t < kTuples; ++t) {
+    ids.push_back({{t}, 1.0 + t % 7});
+    shuffled_ids.push_back({{(11 * t) % kTuples}, 2.0 + t % 5});
+  }
+  aggregates.Add(Spec({0}, std::move(ids)));
+  aggregates.Add(Spec({1}, std::move(shuffled_ids)));
+  IpfOptions options;
+  options.max_iterations = 30;
+  const IpfStats stats = ExpectMatchesOracle(sample, aggregates, options);
+  EXPECT_EQ(stats.cells, static_cast<size_t>(kTuples));
+}
+
+TEST(IpfCellTest, AllTuplesInOneCell) {
+  // Identical tuples share every group, and so one weight; a repeated key
+  // adds a second pass of the same aggregate, and the empty {a0 = v1}
+  // group reaches no tuple.
+  data::SchemaPtr schema = CellSchema({2, 3});
+  data::Table sample(schema);
+  for (int t = 0; t < 25; ++t) sample.AppendRow({0, 2});
+  aggregate::AggregateSet aggregates(schema);
+  aggregates.Add(Spec({0}, {{{0}, 80.0}, {{1}, 20.0}, {{0}, 70.0}}));
+  aggregates.Add(Spec({0, 1}, {{{0, 2}, 60.0}, {{1, 1}, 5.0}}));
+  IpfOptions options;
+  options.max_iterations = 12;
+  const IpfStats stats = ExpectMatchesOracle(sample, aggregates, options);
+  EXPECT_EQ(stats.cells, 1u);
+  EXPECT_EQ(stats.empty_constraints, 2u);
+}
+
+TEST(IpfCellTest, TuplesInNoGroupOfAPassShareItsCellLikeTheOracle) {
+  // The {a0} aggregate publishes only v0 and v1: tuples with a0 = v2 or
+  // v3 (or null) are in none of its groups and so split only by a1, and
+  // every a1 value is published. The sample is scrambled so that cells
+  // interleave in tuple order.
+  data::SchemaPtr schema = CellSchema({4, 3});
+  data::Table sample(schema);
+  Rng rng(31);
+  std::set<std::pair<int, int>> cells;
+  for (int t = 0; t < 300; ++t) {
+    const auto a0 = static_cast<data::ValueCode>(rng.UniformInt(-1, 3));
+    const auto a1 = static_cast<data::ValueCode>(rng.UniformInt(0, 2));
+    sample.AppendRow({a0, a1});
+    cells.insert({a0 == 0 || a0 == 1 ? a0 : -2, a1});
+  }
+  aggregate::AggregateSet aggregates(schema);
+  aggregates.Add(Spec({0}, {{{1}, 300.0}, {{0}, 90.0}}));
+  aggregates.Add(Spec({1}, {{{2}, 400.0}, {{0}, 150.0}, {{1}, 120.0}}));
+  for (int max_iterations : {0, 1, 40}) {
+    IpfOptions options;
+    options.max_iterations = max_iterations;
+    const IpfStats stats = ExpectMatchesOracle(sample, aggregates, options);
+    EXPECT_EQ(stats.cells, cells.size());
+  }
 }
 
 TEST(LinRegTest, WeightsPositiveAndNormalized) {

@@ -294,6 +294,32 @@ TEST(AggregateInputTest, InsertAggregateRejectsBadCounts) {
   EXPECT_NEAR(*point, 7.0, 1e-9);
 }
 
+TEST(AggregateInputTest, InsertAggregateRejectsOutOfDomainCodes) {
+  core::ThemisDb db(TinyOptions());
+  ASSERT_TRUE(db.InsertSample("r", TinySample()).ok());
+  // a = {x, y}: code 2 and up name no value, and codes below kNullCode
+  // are not codes; a 2-D key is checked per attribute.
+  for (const data::ValueCode bad : {2, 5, -2, -100}) {
+    EXPECT_EQ(db.InsertAggregate("r", OneDimAggregate({bad}, 7.0)).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  aggregate::AggregateSpec two_dim;
+  two_dim.attrs = {0, 1};
+  two_dim.groups = {{{1, 0}, 2.0}, {{0, 2}, 4.0}};
+  EXPECT_EQ(db.InsertAggregate("r", std::move(two_dim)).code(),
+            StatusCode::kInvalidArgument);
+  // The last code of the domain and the null group are admitted, and
+  // the published mass reaches the answers.
+  ASSERT_TRUE(db.InsertAggregate("r", OneDimAggregate({1}, 7.0)).ok());
+  ASSERT_TRUE(
+      db.InsertAggregate("r", OneDimAggregate({data::kNullCode}, 1.0)).ok());
+  ASSERT_TRUE(db.Build().ok());
+  auto point = db.PointQuery("r", {{"a", "y"}});
+  ASSERT_TRUE(point.ok()) << point.status().ToString();
+  EXPECT_NEAR(*point, 7.0, 1e-9);
+}
+
 TEST(AggregateInputTest, InsertAggregateRejectsKeyLengthMismatch) {
   core::ThemisDb db(TinyOptions());
   ASSERT_TRUE(db.InsertSample("r", TinySample()).ok());

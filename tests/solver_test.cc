@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "solver/constrained_mle.h"
@@ -78,6 +79,41 @@ TEST(ConstrainedMleTest, InfeasibleReportsNonConvergence) {
   ASSERT_TRUE(sol.ok());
   EXPECT_FALSE(sol->converged);
   EXPECT_GT(sol->max_violation, 0.01);
+}
+
+TEST(ConstrainedMleTest, ReportsTheFullViolationOfTheLastIteration) {
+  // Contradicting constraints keep the solver from converging. Whatever
+  // the budget, max_violation is the largest violation over every
+  // constraint and simplex at the returned θ, not the first one found
+  // over tolerance.
+  ConstrainedMleProblem p;
+  p.counts = {1, 1, 3, 1, 2, 2};
+  p.groups = {{{0, 1}}, {{2, 3}}, {{4, 5}}};
+  p.constraints = {{{{0, 1.0}}, 0.2},
+                   {{{0, 1.0}}, 0.21},
+                   {{{2, 0.5}, {4, 0.5}}, 0.3},
+                   {{{3, 1.0}}, 0.9},
+                   {{{5, 1.0}}, 0.05}};
+  for (const int max_iterations : {1, 2, 7, 40}) {
+    ConstrainedMleOptions options;
+    options.max_iterations = max_iterations;
+    auto sol = SolveConstrainedMle(p, options);
+    ASSERT_TRUE(sol.ok());
+    EXPECT_FALSE(sol->converged);
+    double worst = 0;
+    for (const LinearConstraint& c : p.constraints) {
+      double got = 0;
+      for (const auto& [v, coeff] : c.terms) got += coeff * sol->theta[v];
+      worst = std::max(worst, std::abs(got - c.target) /
+                                  std::max(1.0, std::abs(c.target)));
+    }
+    for (const SimplexGroup& g : p.groups) {
+      double s = 0;
+      for (size_t v : g.vars) s += sol->theta[v];
+      worst = std::max(worst, std::abs(s - 1.0));
+    }
+    EXPECT_EQ(sol->max_violation, worst) << max_iterations << " iterations";
+  }
 }
 
 TEST(ConstrainedMleTest, EmptyGroupBecomesUniform) {

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <concepts>
+#include <numeric>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "util/random.h"
 #include "util/status.h"
@@ -138,6 +144,103 @@ TEST(StringUtilTest, CsvEscapeRoundTrip) {
     line += CsvEscape(inputs[i]);
   }
   EXPECT_EQ(SplitCsvLine(line), inputs);
+}
+
+static_assert(std::uniform_random_bit_generator<Mt19937_64>);
+
+TEST(Mt19937_64Test, MatchesTheStandardEngine) {
+  for (const uint64_t seed : {0ull, 1ull, 42ull, 5489ull, 123456789ull}) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    size_t differing = 0;
+    for (int i = 0; i < 1000000; ++i) differing += engine() != reference();
+    EXPECT_EQ(differing, 0u) << "seed " << seed;
+  }
+}
+
+TEST(Mt19937_64Test, TenThousandthOutputOfTheDefaultSeed) {
+  // The value the C++ standard requires of mt19937_64 ([rand.predef]).
+  Mt19937_64 engine;
+  engine.discard(9999);
+  EXPECT_EQ(engine(), 9981545732273789042ull);
+}
+
+TEST(Mt19937_64Test, DiscardMatchesTheStandardEngine) {
+  // From a fresh state and from one a few outputs into its block, so the
+  // skips end before, at and past a block boundary.
+  for (const int drawn_first : {0, 5}) {
+    for (const unsigned long long z : {0ull, 1ull, 311ull, 312ull, 313ull,
+                                       624ull, 375000ull}) {
+      Mt19937_64 engine(77);
+      std::mt19937_64 reference(77);
+      for (int i = 0; i < drawn_first; ++i) {
+        ASSERT_EQ(engine(), reference());
+      }
+      engine.discard(z);
+      reference.discard(z);
+      for (int i = 0; i < 1000; ++i) {
+        ASSERT_EQ(engine(), reference())
+            << "discard " << z << " after " << drawn_first << ", output " << i;
+      }
+    }
+  }
+}
+
+TEST(Mt19937_64Test, DrivesStandardAlgorithmsLikeTheStandardEngine) {
+  std::vector<int> shuffled(1000), expected(1000);
+  std::iota(shuffled.begin(), shuffled.end(), 0);
+  std::iota(expected.begin(), expected.end(), 0);
+  Rng rng(11);
+  std::mt19937_64 reference(11);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng.engine());
+  std::shuffle(expected.begin(), expected.end(), reference);
+  EXPECT_EQ(shuffled, expected);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(rng.UniformInt(-3, 1000),
+              std::uniform_int_distribution<int64_t>(-3, 1000)(reference));
+    ASSERT_EQ(std::bit_cast<uint64_t>(rng.Normal(1.5, 2.0)),
+              std::bit_cast<uint64_t>(
+                  std::normal_distribution<double>(1.5, 2.0)(reference)));
+  }
+}
+
+TEST(RngTest, UniformDoubleMatchesTheStandardDistributionBitwise) {
+  Rng rng(2020);
+  std::mt19937_64 reference(2020);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  size_t differing = 0;
+  for (int i = 0; i < 10000000; ++i) {
+    differing += std::bit_cast<uint64_t>(rng.UniformDouble()) !=
+                 std::bit_cast<uint64_t>(unit(reference));
+  }
+  EXPECT_EQ(differing, 0u);
+}
+
+/// A bit generator that returns one fixed word.
+struct FixedWord {
+  using result_type = uint64_t;
+  static constexpr uint64_t min() { return 0; }
+  static constexpr uint64_t max() { return ~uint64_t{0}; }
+  uint64_t operator()() { return word; }
+  uint64_t word;
+};
+
+TEST(RngTest, UnitDoubleConvertsEdgeWordsLikeTheStandardDistribution) {
+  // 2^63 + 1025 and 2^64 - 3071 halve to a tie that only the kept low
+  // bit breaks the right way; 2^64 - 1024 and up round to 2^64 and clamp.
+  constexpr uint64_t kTop = uint64_t{1} << 63;
+  for (const uint64_t word :
+       {uint64_t{0}, uint64_t{1}, kTop - 1, kTop, kTop + 1, kTop + 1025,
+        ~uint64_t{0} - 3070, ~uint64_t{0} - 2046, ~uint64_t{0} - 1023,
+        ~uint64_t{0}}) {
+    FixedWord fixed{word};
+    const double expected =
+        std::uniform_real_distribution<double>(0.0, 1.0)(fixed);
+    const double got = Rng::ToUnitDouble(word);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(expected))
+        << "word " << word << ": " << got << " vs " << expected;
+    EXPECT_LT(got, 1.0) << "word " << word;
+  }
 }
 
 TEST(RngTest, Deterministic) {
